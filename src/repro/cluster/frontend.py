@@ -25,6 +25,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
+from ..serve.protocol import RequestBodyError, read_json_body
 from .router import ClusterRouter
 from .worker import ShardError
 
@@ -53,19 +54,6 @@ def _make_handler(router: ClusterRouter):
                 self._send_json(
                     int(reply.get("code", 500)), {"error": reply.get("error", "")}
                 )
-
-        def _read_json(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                raise ValueError("empty request body")
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"invalid JSON: {error}") from error
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            return payload
 
         def do_GET(self):
             if self.path == "/healthz":
@@ -108,9 +96,10 @@ def _make_handler(router: ClusterRouter):
                 )
                 return
             try:
-                payload = self._read_json()
-            except ValueError as error:
-                self._send_json(400, {"error": str(error)})
+                payload = read_json_body(self.headers, self.rfile)
+            except RequestBodyError as error:
+                self.close_connection = not error.body_read
+                self._send_json(error.status, {"error": str(error)})
                 return
             try:
                 if self.path == "/checkin":

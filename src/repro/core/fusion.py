@@ -8,25 +8,22 @@ Each of the N blocks applies:
    graph knowledge (H_T◁ or H_P◁),
 4. position-wise feed-forward with ReLU.
 
-The output vector is the last position of the final sequence.
+The output vector is the last real position of the final sequence.
+
+Sequences always arrive as a right-padded batch ``(B, L, dim)`` with
+every mask pre-broadcast by the caller (``TSPNRA._encode_plan_feeds``),
+so one method serves training, eager inference and plan tracing; a
+single sample is a batch of one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, gather_at, gather_last, where
-from ..nn import (
-    Dropout,
-    LayerNorm,
-    Linear,
-    Module,
-    ModuleList,
-    MultiHeadAttention,
-    causal_mask,
-)
+from ..autograd import Tensor, gather_at, where
+from ..nn import Dropout, LayerNorm, Linear, Module, ModuleList, MultiHeadAttention
 from ..utils.rng import default_rng
 
 
@@ -44,58 +41,25 @@ class AttentionBlock(Module):
         self.norm3 = LayerNorm(dim)
         self.drop = Dropout(dropout)
 
-    def forward(self, sequence: Tensor, history: Optional[Tensor]) -> Tensor:
-        length = sequence.shape[0]
-        mask = causal_mask(length)
-        attended = self.self_attention(sequence, sequence, sequence, mask=mask)
-        sequence = self.norm1(sequence + self.drop(attended))
-        if history is not None and history.shape[0] > 0:
-            crossed = self.cross_attention(sequence, history, history)
-            sequence = self.norm2(sequence + self.drop(crossed))
-        forwarded = self.feed_forward(sequence).relu()
-        return self.norm3(sequence + self.drop(forwarded))
-
     def forward_batch(
         self,
         sequence: Tensor,
-        history: Optional[Tensor],
-        history_mask: Optional[np.ndarray],
-    ) -> Tensor:
-        """Padded-batch variant: ``sequence`` is ``(B, L, dim)``.
-
-        ``history`` is ``(B, H_max, dim)`` right-padded graph knowledge
-        (or None when no sample in the batch has any); ``history_mask``
-        is boolean ``(B, H_max)``, True at padded rows.  Right-padding
-        plus the causal mask keeps real positions bit-compatible with
-        the per-sample path: a real query can never attend to a padded
-        key, and samples whose history is entirely padding keep their
-        pre-cross-attention sequence exactly as ``forward`` would.
-        """
-        length = sequence.shape[1]
-        causal = causal_mask(length)[None, None, :, :]
-        if history is None:
-            return self.forward_batch_core(sequence, causal, None, None, None)
-        cross = np.asarray(history_mask, dtype=bool)[:, None, None, :]
-        has_history = (~history_mask.all(axis=1))[:, None, None]  # (B, 1, 1)
-        return self.forward_batch_core(sequence, causal, history, cross, has_history)
-
-    def forward_batch_core(
-        self,
-        sequence: Tensor,
         causal: np.ndarray,
-        history: Optional[Tensor],
-        cross_mask: Optional[np.ndarray],
-        has_history: Optional[np.ndarray],
+        history: Optional[Tensor] = None,
+        cross_mask: Optional[np.ndarray] = None,
+        has_history: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Trace-friendly block body: every mask arrives pre-broadcast.
+        """Block body over a padded batch; every mask arrives pre-broadcast.
 
-        ``causal`` is ``(1, 1, L, L)``; ``cross_mask`` is
-        ``(B, 1, 1, H)`` (True at padded knowledge rows); ``has_history``
-        is ``(B, 1, 1)``.  No batch-dependent array is *derived* in
-        here — they are all explicit arguments — so a captured plan
-        links each one back to a feed.  Values are bit-identical to the
-        pre-refactor inline math: masks broadcast to the same
-        elementwise booleans.
+        ``sequence`` is ``(B, L, dim)``; ``causal`` is ``(1, 1, L, L)``;
+        ``history`` is ``(B, H, dim)`` right-padded graph knowledge (or
+        None when no sample has any); ``cross_mask`` is ``(B, 1, 1, H)``
+        (True at padded knowledge rows); ``has_history`` is
+        ``(B, 1, 1)``.  No batch-dependent array is derived in here, so
+        a captured plan links each one back to a feed.  Right-padding
+        plus the causal mask keep padded positions out of every real
+        position's receptive field, and a sample without knowledge keeps
+        its pre-cross-attention sequence.
         """
         attended = self.self_attention.forward_prepared(
             sequence, sequence, sequence, causal
@@ -123,39 +87,7 @@ class FusionModule(Module):
             [AttentionBlock(dim, num_heads, dropout=dropout, rng=rng) for _ in range(num_layers)]
         )
 
-    def forward(self, sequence: Tensor, history: Optional[Tensor]) -> Tensor:
-        """``sequence``: (L, dim); ``history``: (H, dim) or None.
-
-        Returns h_out, shape ``(dim,)`` — the representation used for
-        candidate ranking.
-        """
-        out = sequence
-        for block in self.blocks:
-            out = block(out, history)
-        return out[out.shape[0] - 1]
-
     def forward_batch(
-        self,
-        sequence: Tensor,
-        lengths: Sequence[int],
-        history: Optional[Tensor] = None,
-        history_mask: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Padded-batch fusion: ``(B, L_max, dim)`` -> ``(B, dim)``.
-
-        ``lengths`` gives each sample's real prefix length; the output
-        row for sample b is position ``lengths[b] - 1`` of the final
-        sequence — the same "last position" rule as :meth:`forward`.
-        Fully differentiable: under gradient tracking the gather
-        scatters upstream gradients back to each sample's last real
-        position, so the batched training loss flows through here.
-        """
-        out = sequence
-        for block in self.blocks:
-            out = block.forward_batch(out, history, history_mask)
-        return gather_last(out, lengths)
-
-    def forward_batch_core(
         self,
         sequence: Tensor,
         positions: np.ndarray,
@@ -164,15 +96,16 @@ class FusionModule(Module):
         cross_mask: Optional[np.ndarray] = None,
         has_history: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Trace-friendly fusion: pre-broadcast masks, explicit gather.
+        """Padded-batch fusion: ``(B, L, dim)`` -> ``(B, dim)``.
 
-        Mirrors :meth:`forward_batch` exactly (same blocks, same
-        values) but takes ``positions`` (= ``lengths - 1``) and the
-        pre-shaped masks of :meth:`AttentionBlock.forward_batch_core`
-        directly, so the whole stage is a pure function of its array
-        arguments — the property plan capture needs.
+        Row b of the output is position ``positions[b]`` (each sample's
+        last real step, ``length - 1``) of the final sequence — h_out,
+        the representation used for candidate ranking.  The masks are
+        those of :meth:`AttentionBlock.forward_batch`.  Fully
+        differentiable: the final gather scatters upstream gradients
+        back to each sample's last real position.
         """
         out = sequence
         for block in self.blocks:
-            out = block.forward_batch_core(out, causal, history, cross_mask, has_history)
+            out = block.forward_batch(out, causal, history, cross_mask, has_history)
         return gather_at(out, positions)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, concat, no_grad, pad_stack, trace
+from ..autograd import Tensor, concat, get_default_dtype, no_grad, pad_stack, trace
 from ..autograd.plan import Plan
 from ..data.trajectory import PredictionSample
 from ..graphs import QRPGraph, strip_edges
@@ -37,16 +37,14 @@ from .config import TSPNRAConfig
 from .encoders import SpatialEncoder, TemporalEncoder, spatial_encoding, time_slots
 from .fusion import FusionModule
 from .hgat import HGATEncoder
-from .loss import arcface_loss, arcface_loss_batch, combined_loss
+from .loss import arcface_loss_batch
 from .poi_embedding import POIEmbedder
 from .tile_embedding import ImageTileEmbedder, TableTileEmbedder
 from .two_step import (
     candidate_pois,
     cosine_similarities,
     normalize_rows,
-    rank_pois,
     rank_pois_batch,
-    rank_tiles,
     rank_tiles_batch,
     select_tiles,
 )
@@ -252,32 +250,6 @@ class TSPNRA(Module, PredictorBase):
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
-    def encode(
-        self, sample: PredictionSample, tile_embeddings: Tensor, poi_embeddings: Tensor
-    ) -> Tuple[Tensor, Tensor]:
-        """Fused output vectors (h_out_tau, h_out_p) for one sample."""
-        prefix_ids = np.asarray(sample.prefix_poi_ids, dtype=np.int64)
-        timestamps = [v.timestamp for v in sample.prefix]
-        tile_ids = np.asarray(
-            [self.tile_system.leaf_of_poi(int(p)) for p in prefix_ids], dtype=np.int64
-        )
-
-        tile_sequence = tile_embeddings[tile_ids]
-        poi_sequence = poi_embeddings[prefix_ids]
-        if self.config.use_st_encoder:
-            locations = self.normalized_xy[prefix_ids]
-            tile_sequence = self.spatial_encoder(tile_sequence, locations)
-            tile_sequence = self.tile_temporal(tile_sequence, timestamps)
-            poi_sequence = self.poi_temporal(poi_sequence, timestamps)
-
-        history_tiles, history_pois = self._history_knowledge(
-            sample, tile_embeddings, poi_embeddings
-        )
-
-        tile_output = self.fusion_tile(tile_sequence, history_tiles)
-        poi_output = self.fusion_poi(poi_sequence, history_pois)
-        return tile_output, poi_output
-
     def _poi_leaf_table(self) -> np.ndarray:
         if self._poi_leaf is None:
             self._poi_leaf = np.asarray(
@@ -285,24 +257,6 @@ class TSPNRA(Module, PredictorBase):
                 dtype=np.int64,
             )
         return self._poi_leaf
-
-    def _history_knowledge(self, sample: PredictionSample, tile_embeddings, poi_embeddings):
-        """HGAT knowledge rows for one sample: (tiles, pois) or (None, None)."""
-        if not (self.config.use_graph and sample.history):
-            return None, None
-        qrp, masks = self._qrp_for(sample)
-        if qrp.is_empty:
-            return None, None
-        initial = concat(
-            [
-                tile_embeddings[np.asarray(qrp.tile_refs, dtype=np.int64)],
-                poi_embeddings[np.asarray(qrp.poi_refs, dtype=np.int64)],
-            ],
-            axis=0,
-        )
-        knowledge = self.hgat(qrp, initial, masks=masks)
-        n_tiles = len(qrp.tile_refs)
-        return knowledge[0:n_tiles], knowledge[n_tiles:]
 
     def _history_knowledge_batch(
         self,
@@ -337,7 +291,7 @@ class TSPNRA(Module, PredictorBase):
                 knowledge[key] = (None, None)
             elif not any(qrp.graph.edges[kind] for kind in qrp.graph.edges):
                 # Edge-free graph (possible under the drop_edge_type
-                # ablations): the per-sample HGAT short-circuits to the
+                # ablations): the per-graph HGAT short-circuits to the
                 # identity, so knowledge is just the initial
                 # embeddings.  Packing it instead would zero its rows
                 # (the packed layer sums messages for every row).
@@ -411,64 +365,194 @@ class TSPNRA(Module, PredictorBase):
     ) -> Tuple[Tensor, Tensor]:
         """Fused (h_out_tau, h_out_p) for a whole batch: ``(B, dim)`` each.
 
-        The vectorised path shared by inference *and* training:
-        prefixes are right-padded to the batch maximum and run through
-        the spatial/temporal encoders and both fusion stacks as one
-        ``(batch, seq, dim)`` tensor (causal masking keeps padded
-        positions out of every real position's receptive field).  QR-P
-        graph knowledge is still computed per *unique* history —
-        graphs are tiny, heterogeneous, and shared by every sample of
-        a trajectory — then right-padded on the autograd graph
-        (:func:`repro.autograd.pad_stack`) and masked for the batched
-        cross attention.  Under gradient tracking every op here is
-        differentiable, so :meth:`loss_batch` backpropagates one
-        padded mini-batch through the whole encode; under ``no_grad``
-        it behaves exactly like the PR 2 inference path.
+        The one encode behind inference, training and plan tracing:
+        feeds at the batch's exact shape ``(B, L_max, H_tiles_max,
+        H_pois_max)`` (:meth:`_encode_plan_feeds`), then the Tensor math
+        of :meth:`_encode_core`.  QR-P graph knowledge is computed per
+        *unique* history (:meth:`_history_knowledge_batch`) and stays on
+        the autograd graph, right-padded by
+        :func:`repro.autograd.pad_stack`, so under gradient tracking
+        :meth:`loss_batch` backpropagates one padded mini-batch through
+        the whole encode, HGAT included.  A single sample is a batch of
+        one.
         """
+        knowledge = None
+        width_tiles = width_pois = 0
+        if self.config.use_graph:
+            by_key = self._history_knowledge_batch(samples, tile_embeddings, poi_embeddings)
+            knowledge = [by_key[s.history_key] for s in samples]
+            width_tiles = max(0 if t is None else t.shape[0] for t, _ in knowledge)
+            width_pois = max(0 if p is None else p.shape[0] for _, p in knowledge)
+        bucket = (
+            len(samples),
+            max(len(s.prefix) for s in samples),
+            width_tiles,
+            width_pois,
+        )
+        feeds = self._encode_plan_feeds(
+            samples,
+            bucket,
+            get_default_dtype(),
+            tile_embeddings,
+            poi_embeddings,
+            knowledge=knowledge,
+        )
+        return self._encode_core(feeds, tile_embeddings, poi_embeddings, bucket)
+
+    def _encode_plan_feeds(
+        self,
+        samples: Sequence[PredictionSample],
+        bucket: Tuple[int, int, int, int],
+        dtype: np.dtype,
+        tile_embeddings: Tensor,
+        poi_embeddings: Tensor,
+        knowledge: Optional[List[Tuple[Optional[Tensor], Optional[Tensor]]]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Stage one of the encode: batch -> padded feed arrays.
+
+        Everything batch-dependent becomes an explicit array here —
+        padded id grids, the Eq. 4 spatial code, time-slot ids, gather
+        positions, knowledge rows and their pre-broadcast masks — so
+        stage two (:meth:`_encode_core`) is a pure function a trace can
+        capture.  Padded batch rows get a length-1 all-zeros prefix and
+        no knowledge; causal masking plus the final gather keep them
+        out of every real sample's values.
+
+        ``knowledge`` holds each sample's ``(tile rows, POI rows)`` as
+        Tensors (the eager path, :meth:`encode_batch`); the knowledge
+        feeds are then ``pad_stack`` Tensors that carry gradients back
+        into the HGAT.  Without it (the plan path) the rows come from
+        the cached arrays of :meth:`_knowledge_rows`, cast to ``dtype``.
+        """
+        b_pad, l_pad, ht, hp = bucket
         batch = len(samples)
-        lengths = np.asarray([len(s.prefix) for s in samples], dtype=np.int64)
-        if lengths.min() < 1:
-            raise ValueError("encode_batch needs non-empty prefixes")
-        l_max = int(lengths.max())
-        prefix_ids = np.zeros((batch, l_max), dtype=np.int64)
-        timestamps = np.zeros((batch, l_max), dtype=np.float64)
+        if batch > b_pad:
+            raise ValueError(f"batch of {batch} exceeds bucket {bucket}")
+        lengths = np.ones(b_pad, dtype=np.int64)
+        prefix_ids = np.zeros((b_pad, l_pad), dtype=np.int64)
+        timestamps = np.zeros((b_pad, l_pad), dtype=np.float64)
         for i, sample in enumerate(samples):
             ids = sample.prefix_poi_ids
+            if not len(ids):
+                raise ValueError("encode needs non-empty prefixes")
+            if len(ids) > l_pad:
+                raise ValueError(f"prefix of {len(ids)} exceeds bucket {bucket}")
             prefix_ids[i, : len(ids)] = ids
             timestamps[i, : len(ids)] = [v.timestamp for v in sample.prefix]
-        tile_ids = self._poi_leaf_table()[prefix_ids]
-
-        tile_sequence = tile_embeddings[tile_ids]  # (B, L, dim)
-        poi_sequence = poi_embeddings[prefix_ids]
+            lengths[i] = len(ids)
+        feeds: Dict[str, np.ndarray] = {
+            "prefix_ids": prefix_ids,
+            "tile_ids": self._poi_leaf_table()[prefix_ids],
+            "positions": lengths - 1,
+        }
         if self.config.use_st_encoder:
-            locations = self.normalized_xy[prefix_ids]  # (B, L, 2)
-            tile_sequence = self.spatial_encoder(tile_sequence, locations)
-            tile_sequence = self.tile_temporal(tile_sequence, timestamps)
-            poi_sequence = self.poi_temporal(poi_sequence, timestamps)
+            feeds["spatial_code"] = self._spatial_code_table(dtype)[prefix_ids]
+            feeds["time_slot_ids"] = time_slots(timestamps)
+        if ht or hp:
+            rows = knowledge
+            if rows is None:
+                rows = self._knowledge_rows(samples, tile_embeddings, poi_embeddings)
+            for name, width, side in (("tiles", ht, 0), ("pois", hp, 1)):
+                if not width:
+                    continue
+                blocks = [per_sample[side] for per_sample in rows]
+                counts = np.zeros(b_pad, dtype=np.int64)
+                counts[:batch] = [0 if b is None else b.shape[0] for b in blocks]
+                if counts.max() > width:
+                    raise ValueError(
+                        f"{name} knowledge of {counts.max()} exceeds bucket {bucket}"
+                    )
+                if knowledge is not None:
+                    history = pad_stack(
+                        blocks + [None] * (b_pad - batch), self.config.dim, pad_to=width
+                    )
+                else:
+                    history = np.zeros((b_pad, width, self.config.dim), dtype=dtype)
+                    for i, block in enumerate(blocks):
+                        if counts[i]:
+                            history[i, : counts[i]] = block
+                mask = key_padding_mask(counts, width)
+                feeds[f"history_{name}"] = history
+                feeds[f"{name}_mask"] = mask[:, None, None, :]
+                feeds[f"has_{name}"] = (~mask.all(axis=1))[:, None, None]
+        return feeds
 
-        history_tiles = history_pois = None
-        tile_mask = poi_mask = None
-        if self.config.use_graph:
-            knowledge = self._history_knowledge_batch(
-                samples, tile_embeddings, poi_embeddings
+    def _encode_core(
+        self,
+        feeds: Dict[str, np.ndarray],
+        tile_embeddings: Tensor,
+        poi_embeddings: Tensor,
+        bucket: Tuple[int, int, int, int],
+    ) -> Tuple[Tensor, Tensor]:
+        """Stage two of the encode: pure Tensor math over the feeds.
+
+        Embedding gathers, the spatial/temporal encoders (Eq. 4 code
+        plus learnable time-slot rows), both fusion stacks and the final
+        last-position gather, consuming only the
+        :meth:`_encode_plan_feeds` arrays plus the embedding tables and
+        deriving nothing batch-shaped internally.  :meth:`encode_batch`
+        runs it eagerly (with gradients when training);
+        :meth:`build_encode_plan` traces it once per bucket into a
+        :class:`Plan`.  Knowledge feeds are wrapped in ``Tensor`` only
+        when they are plain arrays, so eager ``pad_stack`` rows keep
+        their autograd links.
+        """
+        _, l_pad, ht, hp = bucket
+        tile_sequence = tile_embeddings[feeds["tile_ids"]]  # (B, L, dim)
+        poi_sequence = poi_embeddings[feeds["prefix_ids"]]
+        if self.config.use_st_encoder:
+            tile_sequence = tile_sequence + Tensor(feeds["spatial_code"])
+            tile_sequence = tile_sequence + self.tile_temporal.slots(
+                feeds["time_slot_ids"]
             )
-            per_sample = [knowledge[s.history_key] for s in samples]
-            n_tiles = [0 if k[0] is None else k[0].shape[0] for k in per_sample]
-            n_pois = [0 if k[1] is None else k[1].shape[0] for k in per_sample]
-            if max(n_tiles, default=0) > 0:
-                history_tiles = pad_stack([k[0] for k in per_sample], self.config.dim)
-                tile_mask = key_padding_mask(n_tiles, max(n_tiles))
-            if max(n_pois, default=0) > 0:
-                history_pois = pad_stack([k[1] for k in per_sample], self.config.dim)
-                poi_mask = key_padding_mask(n_pois, max(n_pois))
+            poi_sequence = poi_sequence + self.poi_temporal.slots(
+                feeds["time_slot_ids"]
+            )
+        causal = causal_mask(l_pad)[None, None, :, :]
+        positions = feeds["positions"]
+        outputs = []
+        for fusion, sequence, name, width in (
+            (self.fusion_tile, tile_sequence, "tiles", ht),
+            (self.fusion_poi, poi_sequence, "pois", hp),
+        ):
+            if not width:
+                outputs.append(fusion.forward_batch(sequence, positions, causal))
+                continue
+            history = feeds[f"history_{name}"]
+            if not isinstance(history, Tensor):
+                history = Tensor(history)
+            outputs.append(
+                fusion.forward_batch(
+                    sequence,
+                    positions,
+                    causal,
+                    history,
+                    feeds[f"{name}_mask"],
+                    feeds[f"has_{name}"],
+                )
+            )
+        return outputs[0], outputs[1]
 
-        tile_output = self.fusion_tile.forward_batch(
-            tile_sequence, lengths, history_tiles, tile_mask
-        )
-        poi_output = self.fusion_poi.forward_batch(
-            poi_sequence, lengths, history_pois, poi_mask
-        )
-        return tile_output, poi_output
+    def _spatial_code_table(self, dtype) -> np.ndarray:
+        """Per-POI Eq. 4 codes as a static gather table.
+
+        The sinusoidal code is a pure elementwise function of each POI's
+        (fixed) location, so ``spatial_encoding(xy[ids])`` equals
+        ``table[ids]`` row for row, bit-identically.  Computed once per
+        dtype; the feed-prep stage then pays one gather per batch
+        instead of re-evaluating the trig.
+        """
+        key = np.dtype(dtype).str
+        table = self._spatial_tables.get(key)
+        if table is None:
+            table = spatial_encoding(
+                self.normalized_xy,
+                self.config.dim,
+                scale=self.spatial_encoder.scale,
+                dtype=dtype,
+            )
+            self._spatial_tables[key] = table
+        return table
 
     # ------------------------------------------------------------------
     # training loss
@@ -478,11 +562,9 @@ class TSPNRA(Module, PredictorBase):
     ) -> List[int]:
         """Step-two candidate POIs for one training sample.
 
-        Shared by :meth:`loss_sample` and :meth:`loss_batch` so the two
-        paths can never drift apart — they must select identical
-        candidate sets (and, on the no-two-step path, consume
-        ``_negative_rng`` in the same per-sample order) for the
-        batched/per-sample gradient equivalence to hold.
+        Data extraction, no gradients.  On the no-two-step path each
+        call consumes ``_negative_rng``, so :meth:`loss_batch` calls it
+        in sample order.
         """
         if self.config.use_two_step:
             top = select_tiles(
@@ -502,34 +584,8 @@ class TSPNRA(Module, PredictorBase):
     def loss_sample(
         self, sample: PredictionSample, tile_embeddings: Tensor, poi_embeddings: Tensor
     ) -> Tensor:
-        """Eq. 8 combined loss for one sample."""
-        tile_output, poi_output = self.encode(sample, tile_embeddings, poi_embeddings)
-        config = self.config
-        target_poi = sample.target.poi_id
-        target_leaf = self.tile_system.leaf_of_poi(target_poi)
-
-        leaf_embeddings = tile_embeddings[self._leaf_array]
-        tile_loss = arcface_loss(
-            tile_output,
-            leaf_embeddings,
-            self._leaf_index[target_leaf],
-            scale=config.loss_scale,
-            margin=config.loss_margin,
-        )
-
-        candidates = self._training_candidates(
-            target_poi, tile_output.data, leaf_embeddings.data
-        )
-        candidate_array = np.asarray(candidates, dtype=np.int64)
-        target_position = int(np.nonzero(candidate_array == target_poi)[0][0])
-        poi_loss = arcface_loss(
-            poi_output,
-            poi_embeddings[candidate_array],
-            target_position,
-            scale=config.loss_scale,
-            margin=config.loss_margin,
-        )
-        return combined_loss(tile_loss, poi_loss, beta=config.beta)
+        """Eq. 8 combined loss for one sample: a batch of one."""
+        return self.loss_batch([sample], tile_embeddings, poi_embeddings)
 
     def loss_batch(
         self,
@@ -544,10 +600,10 @@ class TSPNRA(Module, PredictorBase):
         pad/mask/gather ops), then both ArcFace heads vectorised over
         the batch — the tile head against the shared leaf table, the
         POI head against right-padded per-sample candidate sets with
-        invalid slots masked out of the softmax.  Returns
-        ``sum_i loss_sample(samples[i])`` up to floating-point
-        accumulation order; the trainer divides by the batch size,
-        exactly as it does on the per-sample path.
+        invalid slots masked out of the softmax.  Returns the *sum* of
+        the per-sample Eq. 8 losses; the trainer divides by the batch
+        size.  This is the model's only loss implementation
+        (:meth:`loss_sample` is a batch of one).
         """
         if not samples:
             raise ValueError("loss_batch needs a non-empty batch")
@@ -571,8 +627,8 @@ class TSPNRA(Module, PredictorBase):
             margin=config.loss_margin,
         )
 
-        # Candidate sets are data extraction (no gradients) and must
-        # mirror the per-sample path exactly, sample by sample.
+        # Candidate sets are data extraction (no gradients), one
+        # sample at a time.
         candidate_lists = [
             self._training_candidates(
                 int(target_pois[i]), tile_outputs.data[i], leaf_embeddings.data
@@ -610,33 +666,8 @@ class TSPNRA(Module, PredictorBase):
         poi_embeddings: Optional[Tensor] = None,
         k: Optional[int] = None,
     ) -> PredictorResult:
-        """Rank tiles then POIs for one sample (no gradients)."""
-        k = k if k is not None else self.config.top_k
-        with no_grad():
-            if tile_embeddings is None or poi_embeddings is None:
-                tile_embeddings, poi_embeddings = self.compute_embeddings()
-            tile_output, poi_output = self.encode(sample, tile_embeddings, poi_embeddings)
-            leaf_embeddings = tile_embeddings.data[self._leaf_array]
-            ranked_tiles = rank_tiles(tile_output.data, leaf_embeddings, self._leaf_ids)
-            if self.config.use_two_step:
-                candidates = candidate_pois(self.tile_system, ranked_tiles[:k])
-            else:
-                candidates = list(range(self.num_pois))
-            candidate_array = np.asarray(candidates, dtype=np.int64)
-            ranked_pois = rank_pois(
-                poi_output.data,
-                poi_embeddings.data[candidate_array] if len(candidates) else np.zeros((0, self.config.dim)),
-                candidates,
-            )
-        target_poi = target_poi_of(sample)
-        target_tile = self.tile_system.leaf_of_poi(target_poi) if target_poi >= 0 else -1
-        return PredictorResult(
-            ranked_pois=ranked_pois,
-            target_poi=target_poi,
-            ranked_tiles=ranked_tiles,
-            target_tile=target_tile,
-            num_pois=self.num_pois,
-        )
+        """Rank tiles then POIs for one sample: a batch of one."""
+        return self.predict_batch([sample], tile_embeddings, poi_embeddings, k=k)[0]
 
     def predict_batch(
         self,
@@ -645,12 +676,11 @@ class TSPNRA(Module, PredictorBase):
         poi_embeddings: Optional[Tensor] = None,
         k: Optional[int] = None,
     ) -> List[PredictorResult]:
-        """Vectorised :meth:`predict` over a batch (no gradients).
+        """Rank tiles then POIs for a batch (no gradients).
 
         One padded-batch encode (:meth:`encode_batch`), one matmul over
         the leaf-embedding table for step one and one over the full POI
-        table for step two — ranked lists are identical to mapping
-        :meth:`predict` over the batch.
+        table for step two.
         """
         if not samples:
             return []
@@ -677,27 +707,6 @@ class TSPNRA(Module, PredictorBase):
                     poi_outputs.data, poi_embeddings.data, candidate_lists
                 )
         return self._results(samples, ranked_tiles_all, ranked_pois_all)
-
-    def _spatial_code_table(self, dtype) -> np.ndarray:
-        """Per-POI Eq. 4 codes as a static gather table.
-
-        The sinusoidal code is a pure elementwise function of each POI's
-        (fixed) location, so ``spatial_encoding(xy[ids])`` equals
-        ``table[ids]`` row for row, bit-identically.  Computed once per
-        dtype; the compiled feed-prep stage then pays one gather per
-        batch instead of re-evaluating the trig.
-        """
-        key = np.dtype(dtype).str
-        table = self._spatial_tables.get(key)
-        if table is None:
-            table = spatial_encoding(
-                self.normalized_xy,
-                self.config.dim,
-                scale=self.spatial_encoder.scale,
-                dtype=dtype,
-            )
-            self._spatial_tables[key] = table
-        return table
 
     def _candidates_for(self, ranked_tiles: Sequence[int], k: int) -> np.ndarray:
         """Step-two candidate ids for a ranked tile list, memoised.
@@ -757,8 +766,8 @@ class TSPNRA(Module, PredictorBase):
         of two (up to 2× the real length) costs more wall-clock than
         the extra traces a multiple-of-4 grid pays for.  A width of 0
         means *no sample has that kind of knowledge*, which traces a
-        plan variant without the cross-attention stage, exactly
-        mirroring the eager ``history is None`` branch.
+        plan variant without the cross-attention stage, the same
+        branch :meth:`_encode_core` takes eagerly.
         """
         if not samples:
             raise ValueError("plan_bucket needs a non-empty batch")
@@ -833,127 +842,6 @@ class TSPNRA(Module, PredictorBase):
                 self._knowledge_cache.put((key, version), rows)
                 by_key[key] = rows
         return [by_key[s.history_key] for s in samples]
-
-    def _encode_plan_feeds(
-        self,
-        samples: Sequence[PredictionSample],
-        bucket: Tuple[int, int, int, int],
-        dtype: np.dtype,
-        tile_embeddings: Tensor,
-        poi_embeddings: Tensor,
-    ) -> Dict[str, np.ndarray]:
-        """Stage one of the compiled encode: batch -> padded feed arrays.
-
-        Everything batch-dependent becomes an explicit array here —
-        padded id/timestamp grids, the Eq. 4 spatial code, gather
-        positions, knowledge rows and their pre-broadcast masks — so
-        stage two (:meth:`_encode_core`) is a pure function a trace can
-        capture.  Padded batch rows get a length-1 all-zeros prefix and
-        no knowledge; causal masking plus the final gather keep them
-        out of every real sample's values.
-        """
-        b_pad, l_pad, ht, hp = bucket
-        batch = len(samples)
-        if batch > b_pad:
-            raise ValueError(f"batch of {batch} exceeds bucket {bucket}")
-        lengths = np.ones(b_pad, dtype=np.int64)
-        prefix_ids = np.zeros((b_pad, l_pad), dtype=np.int64)
-        timestamps = np.zeros((b_pad, l_pad), dtype=np.float64)
-        for i, sample in enumerate(samples):
-            ids = sample.prefix_poi_ids
-            if len(ids) > l_pad:
-                raise ValueError(f"prefix of {len(ids)} exceeds bucket {bucket}")
-            prefix_ids[i, : len(ids)] = ids
-            timestamps[i, : len(ids)] = [v.timestamp for v in sample.prefix]
-            lengths[i] = len(ids)
-        feeds: Dict[str, np.ndarray] = {
-            "prefix_ids": prefix_ids,
-            "tile_ids": self._poi_leaf_table()[prefix_ids],
-            "positions": lengths - 1,
-        }
-        if self.config.use_st_encoder:
-            feeds["spatial_code"] = self._spatial_code_table(dtype)[prefix_ids]
-            feeds["time_slot_ids"] = time_slots(timestamps)
-        if ht or hp:
-            rows = self._knowledge_rows(samples, tile_embeddings, poi_embeddings)
-            for name, width, side in (("tiles", ht, 0), ("pois", hp, 1)):
-                if not width:
-                    continue
-                history = np.zeros((b_pad, width, self.config.dim), dtype=dtype)
-                counts = np.zeros(b_pad, dtype=np.int64)
-                for i, per_sample in enumerate(rows):
-                    knowledge = per_sample[side]
-                    if knowledge is None or not len(knowledge):
-                        continue
-                    if len(knowledge) > width:
-                        raise ValueError(
-                            f"{name} knowledge of {len(knowledge)} exceeds bucket {bucket}"
-                        )
-                    history[i, : len(knowledge)] = knowledge
-                    counts[i] = len(knowledge)
-                mask = key_padding_mask(counts, width)
-                feeds[f"history_{name}"] = history
-                feeds[f"{name}_mask"] = mask[:, None, None, :]
-                feeds[f"has_{name}"] = (~mask.all(axis=1))[:, None, None]
-        return feeds
-
-    def _encode_core(
-        self,
-        feeds: Dict[str, np.ndarray],
-        tile_embeddings: Tensor,
-        poi_embeddings: Tensor,
-        bucket: Tuple[int, int, int, int],
-    ) -> Tuple[Tensor, Tensor]:
-        """Stage two of the compiled encode: pure Tensor math over feeds.
-
-        Runs the exact op sequence of :meth:`encode_batch` — embedding
-        gathers, spatial/temporal encoders, both fusion stacks, final
-        position gather — but consumes only the :meth:`_encode_plan_feeds`
-        arrays plus the embedding tables, deriving nothing batch-shaped
-        internally.  Traced once per bucket it becomes a :class:`Plan`;
-        run eagerly it reproduces ``encode_batch`` values bit-for-bit on
-        the real (unpadded) rows.
-        """
-        _, l_pad, ht, hp = bucket
-        tile_sequence = tile_embeddings[feeds["tile_ids"]]  # (B, L, dim)
-        poi_sequence = poi_embeddings[feeds["prefix_ids"]]
-        if self.config.use_st_encoder:
-            tile_sequence = tile_sequence + Tensor(feeds["spatial_code"])
-            tile_sequence = tile_sequence + self.tile_temporal.slots(
-                feeds["time_slot_ids"]
-            )
-            poi_sequence = poi_sequence + self.poi_temporal.slots(
-                feeds["time_slot_ids"]
-            )
-        causal = causal_mask(l_pad)[None, None, :, :]
-        positions = feeds["positions"]
-        if ht:
-            tile_output = self.fusion_tile.forward_batch_core(
-                tile_sequence,
-                positions,
-                causal,
-                Tensor(feeds["history_tiles"]),
-                feeds["tiles_mask"],
-                feeds["has_tiles"],
-            )
-        else:
-            tile_output = self.fusion_tile.forward_batch_core(
-                tile_sequence, positions, causal
-            )
-        if hp:
-            poi_output = self.fusion_poi.forward_batch_core(
-                poi_sequence,
-                positions,
-                causal,
-                Tensor(feeds["history_pois"]),
-                feeds["pois_mask"],
-                feeds["has_pois"],
-            )
-        else:
-            poi_output = self.fusion_poi.forward_batch_core(
-                poi_sequence, positions, causal
-            )
-        return tile_output, poi_output
 
     def build_encode_plan(
         self,
@@ -1055,9 +943,11 @@ class TSPNRA(Module, PredictorBase):
         """Cosine scores of h_out_p against the given candidate POIs."""
         with no_grad():
             tile_embeddings, poi_embeddings = shared if shared else self.compute_embeddings()
-            _, poi_output = self.encode(sample, tile_embeddings, poi_embeddings)
+            _, poi_output = self.encode_batch([sample], tile_embeddings, poi_embeddings)
             candidate_array = np.asarray(candidate_ids, dtype=np.int64)
-            return cosine_similarities(poi_output.data, poi_embeddings.data[candidate_array])
+            return cosine_similarities(
+                poi_output.data[0], poi_embeddings.data[candidate_array]
+            )
 
     def clear_graph_cache(self) -> None:
         self._graph_cache.clear()

@@ -105,13 +105,8 @@ def train_model(
     data: PreparedData,
     profile: ExperimentProfile,
     seed: Optional[int] = None,
-    use_batched: bool = True,
 ):
-    """Train with the profile's budget; dispatches on the model kind.
-
-    ``use_batched`` selects the trainer's ``loss_batch`` path (models
-    without one fall back to the per-sample loop either way).
-    """
+    """Train with the profile's budget; dispatches on the model kind."""
     if not model.requires_gradient_training:
         model.fit(data.splits.train)
         return None
@@ -125,7 +120,6 @@ def train_model(
             lr=profile.lr,
             max_train_samples=profile.max_train_samples,
             seed=profile.seed if seed is None else seed,
-            use_batched=use_batched,
         ),
     )
     return trainer.fit(data.splits.train)
@@ -149,11 +143,10 @@ def run_one(
     profile: ExperimentProfile,
     config: Optional[TSPNRAConfig] = None,
     seed: Optional[int] = None,
-    use_batched: bool = True,
 ) -> Tuple[Dict[str, float], object]:
     """Train + evaluate one model; returns (metrics, trained model)."""
     model = build_model(model_name, data, profile, config=config, seed=seed)
-    train_model(model, data, profile, seed=seed, use_batched=use_batched)
+    train_model(model, data, profile, seed=seed)
     return eval_model(model, data, profile), model
 
 

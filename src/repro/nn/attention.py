@@ -6,11 +6,11 @@ attention-based baselines (DeepMove, STAN, STiSAN, SAE-NAD).
 
 Sequences come in two shapes:
 
-* unbatched ``(length, dim)`` — the per-sample research loop (and the
-  trainer's ``use_batched=False`` escape hatch);
-* batched ``(batch, length, dim)`` — the vectorised path shared by
-  inference and the batched training loss: prefixes are padded to a
-  common length and the padding masked (the MobTCast-style
+* unbatched ``(length, dim)`` — one sequence, the per-sample
+  formulation of the paper;
+* batched ``(batch, length, dim)`` — the vectorised path TSPN-RA runs
+  for inference, training and plan tracing alike: prefixes are padded
+  to a common length and the padding masked (the MobTCast-style
   padded-batch formulation).  :func:`key_padding_mask` builds the
   standard right-padding mask from per-sample lengths; every op is
   differentiable, so gradients flow around (never through) the masked

@@ -131,6 +131,12 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Replace every parameter, all or nothing.
+
+        Names and shapes are all checked before the first assignment,
+        so a rejected state leaves every parameter's data and
+        ``version`` untouched.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -139,6 +145,7 @@ class Module:
         for name, p in own.items():
             if p.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
+        for name, p in own.items():
             p.data = state[name].copy()
             p.version += 1
 

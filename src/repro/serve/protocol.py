@@ -17,6 +17,7 @@ collapses them into one contract:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -161,14 +162,14 @@ class PredictorBase:
     def loss_batch(self, samples, *shared):
         """Summed training loss for one mini-batch.
 
-        The trainer's batched entry point.  This default sums
-        ``loss_sample`` sequentially — same value, same gradients, no
-        speedup — so every gradient-trained model is batch-trainable;
+        The trainer's entry point.  This default sums ``loss_sample``
+        sequentially, so every gradient-trained model is trainable;
         models with a vectorised trunk override it with one padded
-        forward pass (TSPN-RA's ``encode_batch``, the batched RNN
-        trunks of the sequential baselines).  Overrides must return the
-        *sum* (not mean) of the per-sample losses so the trainer's
-        ``1/len(batch)`` scaling matches the per-sample path.
+        forward pass (TSPN-RA's ``encode_batch``, whose ``loss_sample``
+        is in turn a batch of one; the batched RNN trunks of the
+        sequential baselines).  Overrides must return the *sum* (not
+        mean) of the per-sample losses: the trainer applies the
+        ``1/len(batch)`` scaling itself.
         """
         total = None
         for sample in samples:
@@ -311,4 +312,61 @@ def result_to_json(result: "PredictorResult", k: int = 10) -> Dict:
     if result.target_poi >= 0:
         payload["target_poi"] = result.target_poi
         payload["poi_rank"] = result.poi_rank
+    return payload
+
+
+# Largest request body either HTTP front-end reads.  Check-in, predict
+# and reload bodies are a few kB even with long histories; the bound
+# keeps a hostile Content-Length from sizing the read buffer.
+MAX_BODY_BYTES = 4 << 20
+
+
+class RequestBodyError(ValueError):
+    """A request body the front-ends refuse.
+
+    ``status`` is the HTTP status to answer with; ``body_read`` is
+    False when the body was left unread on the socket, in which case
+    the connection cannot be reused for another request.
+    """
+
+    def __init__(self, message: str, status: int = 400, body_read: bool = True):
+        super().__init__(message)
+        self.status = status
+        self.body_read = body_read
+
+
+def read_json_body(headers, rfile) -> Dict:
+    """Read one JSON-object request body (both HTTP front-ends).
+
+    ``Content-Length`` must be a non-negative integer (400) no larger
+    than :data:`MAX_BODY_BYTES` (413), checked before anything is read:
+    ``rfile.read(-1)`` would read until EOF and hang a keep-alive
+    handler thread.  The body must then decode to a JSON object (400).
+    """
+    declared = headers.get("Content-Length")
+    try:
+        length = int(declared) if declared else 0
+    except ValueError:
+        raise RequestBodyError(
+            f"Content-Length must be an integer, got {declared!r}", body_read=False
+        ) from None
+    if length < 0:
+        raise RequestBodyError(
+            f"Content-Length must be non-negative, got {length}", body_read=False
+        )
+    if length > MAX_BODY_BYTES:
+        raise RequestBodyError(
+            f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            status=413,
+            body_read=False,
+        )
+    raw = rfile.read(length) if length else b""
+    if not raw:
+        raise RequestBodyError("empty request body")
+    try:
+        payload = json.loads(raw)
+    except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
+        raise RequestBodyError(f"invalid JSON: {error}") from error
+    if not isinstance(payload, dict):
+        raise RequestBodyError("request body must be a JSON object")
     return payload

@@ -76,7 +76,13 @@ from ..stream.state import AppendResult, UserStateStore
 from .checkpoint import load_checkpoint, read_checkpoint
 from .plans import PlanCache, supports_plans
 from .predictor import LATENCY_PERCENTILES, Predictor, ServeStats
-from .protocol import PredictorResult, result_to_json, sample_from_json
+from .protocol import (
+    PredictorResult,
+    RequestBodyError,
+    read_json_body,
+    result_to_json,
+    sample_from_json,
+)
 from .scheduler import MicroBatchScheduler, QueueFullError, SchedulerClosedError
 
 
@@ -750,19 +756,6 @@ def _make_handler(server: InferenceServer):
             self.end_headers()
             self.wfile.write(body)
 
-        def _read_json(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                raise ValueError("empty request body")
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"invalid JSON: {error}") from error
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            return payload
-
         def do_GET(self):
             if self.path == "/healthz":
                 self._send_json(
@@ -815,9 +808,10 @@ def _make_handler(server: InferenceServer):
         def _dispatch_post(self):
             with span("http.parse", path=self.path):
                 try:
-                    payload = self._read_json()
-                except ValueError as error:
-                    self._send_json(400, {"error": str(error)})
+                    payload = read_json_body(self.headers, self.rfile)
+                except RequestBodyError as error:
+                    self.close_connection = not error.body_read
+                    self._send_json(error.status, {"error": str(error)})
                     return
             if self.path == "/reload":
                 self._reload(payload)

@@ -3,23 +3,18 @@
 Implements the paper's protocol: Adam with exponentially decayed
 learning rate, mini-batches of samples, loss summed per batch.
 
-Two loss contracts are supported, both taking the shared per-batch
-state returned by ``compute_embeddings()`` (``()`` for stateless
-models):
+Both loss contracts take the shared per-batch state returned by
+``compute_embeddings()`` (``()`` for stateless models):
 
-* ``loss_sample(sample, *shared)`` — the scalar loss of one sample.
-  The per-sample path sums these over the mini-batch; any model that
-  implements only this still trains.
 * ``loss_batch(samples, *shared)`` — the *summed* loss of a whole
-  mini-batch computed in one padded, differentiable forward pass (one
-  ``(batch, seq, dim)`` encode instead of ``batch`` sequential ones).
-  This is the default path (:attr:`TrainConfig.use_batched`); the
-  trainer falls back to the per-sample loop automatically for models
-  without ``loss_batch``.  Implementations must return the sum — the
-  trainer applies the ``1/len(batch)`` scaling itself, so both paths
-  optimise exactly the same objective (values agree bit-for-bit at
-  identical weights; gradients agree to floating-point accumulation
-  order, see ``tests/test_train_batched.py``).
+  mini-batch.  The trainer calls it whenever the model has one;
+  TSPN-RA computes it in one padded, differentiable forward pass (one
+  ``(batch, seq, dim)`` encode), and ``PredictorBase`` supplies a
+  default that sums ``loss_sample``.  Implementations must return the
+  sum — the trainer applies the ``1/len(batch)`` scaling itself.
+* ``loss_sample(sample, *shared)`` — the scalar loss of one sample.
+  Models without ``loss_batch`` still train: the trainer sums these
+  over the mini-batch.
 """
 
 from __future__ import annotations
@@ -41,10 +36,6 @@ class TrainConfig:
     The paper trains 40 epochs at lr=2e-5 with batch size 8 on GPU;
     the scaled-down CPU default is fewer epochs at a proportionally
     larger learning rate (the Fig. 10 bench sweeps both).
-
-    ``use_batched`` selects the batched ``loss_batch`` path (the
-    escape hatch back to the per-sample loop is ``use_batched=False``
-    — useful when bisecting a regression between the two paths).
     """
 
     epochs: int = 3
@@ -54,7 +45,6 @@ class TrainConfig:
     max_grad_norm: float = 5.0
     max_train_samples: Optional[int] = None
     seed: int = 0
-    use_batched: bool = True
     verbose: bool = False
 
 
@@ -89,9 +79,7 @@ class Trainer:
     @property
     def batched(self) -> bool:
         """Whether training will go through ``loss_batch``."""
-        return self.config.use_batched and callable(
-            getattr(self.model, "loss_batch", None)
-        )
+        return callable(getattr(self.model, "loss_batch", None))
 
     def fit(
         self,

@@ -1,9 +1,10 @@
 """Tests for TSPN-RA components: encoders, embedders, HGAT, fusion, loss."""
 
 import numpy as np
+import oracle
 import pytest
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, pad_stack
 from repro.core import (
     FusionModule,
     HGATEncoder,
@@ -23,6 +24,7 @@ from repro.data.trajectory import Trajectory, Visit
 from repro.geo import BoundingBox
 from repro.graphs import build_qrp_graph
 from repro.imagery import ImageryCatalog, LandUseMap, TileRenderer
+from repro.nn import causal_mask, key_padding_mask
 from repro.spatial import RegionQuadTree
 from repro.utils import spawn
 
@@ -219,29 +221,67 @@ class TestHGAT:
         assert np.allclose(out_a, out_b)
 
 
+def _fusion_batch(fusion, sequences, histories):
+    """Right-pad per-sample sequences and knowledge, run ``forward_batch``."""
+    dim = sequences[0].shape[1]
+    positions = np.asarray([s.shape[0] for s in sequences]) - 1
+    padded = pad_stack(sequences, dim)
+    causal = causal_mask(padded.shape[1])[None, None, :, :]
+    counts = [0 if h is None else h.shape[0] for h in histories]
+    if not max(counts):
+        return fusion.forward_batch(padded, positions, causal)
+    mask = key_padding_mask(counts, max(counts))
+    return fusion.forward_batch(
+        padded,
+        positions,
+        causal,
+        pad_stack(histories, dim),
+        mask[:, None, None, :],
+        (~mask.all(axis=1))[:, None, None],
+    )
+
+
+def _assert_rows_match_oracle(fusion, out, sequences, histories):
+    assert out.shape == (len(sequences), sequences[0].shape[1])
+    for row, sequence, history in zip(out.data, sequences, histories):
+        expected = oracle.fusion_forward(fusion, sequence, history).data
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+
 class TestFusion:
     def test_output_is_vector(self):
         fusion = FusionModule(dim=16, num_heads=2, num_layers=2, rng=spawn(8))
         fusion.eval()
-        seq = Tensor(np.random.default_rng(5).normal(size=(6, 16)))
-        hist = Tensor(np.random.default_rng(6).normal(size=(9, 16)))
-        assert fusion(seq, hist).shape == (16,)
+        rng = np.random.default_rng(5)
+        sequences = [Tensor(rng.normal(size=(n, 16))) for n in (6, 3, 1)]
+        histories = [Tensor(rng.normal(size=(9, 16))), None, Tensor(rng.normal(size=(2, 16)))]
+        out = _fusion_batch(fusion, sequences, histories)
+        _assert_rows_match_oracle(fusion, out, sequences, histories)
 
     def test_handles_no_history(self):
         fusion = FusionModule(dim=16, num_heads=2, num_layers=1, rng=spawn(9))
         fusion.eval()
-        seq = Tensor(np.random.default_rng(7).normal(size=(4, 16)))
-        assert fusion(seq, None).shape == (16,)
+        rng = np.random.default_rng(7)
+        sequences = [Tensor(rng.normal(size=(n, 16))) for n in (4, 2)]
+        out = _fusion_batch(fusion, sequences, [None, None])
+        _assert_rows_match_oracle(fusion, out, sequences, [None, None])
 
     def test_causality(self):
-        """Perturbing the middle of the sequence must not change... the
-        output *does* depend on all positions (we read the last), but
-        perturbing positions after the last is impossible; instead check
-        that a single-element sequence works."""
+        """A sample's output reads its own real positions only: a
+        single-element sequence padded beside a longer one matches the
+        unbatched reference, and changing its padded tail changes
+        nothing."""
         fusion = FusionModule(dim=16, num_heads=2, num_layers=1, rng=spawn(10))
         fusion.eval()
-        seq = Tensor(np.random.default_rng(8).normal(size=(1, 16)))
-        assert fusion(seq, None).shape == (16,)
+        rng = np.random.default_rng(8)
+        sequences = [Tensor(rng.normal(size=(1, 16))), Tensor(rng.normal(size=(5, 16)))]
+        out = _fusion_batch(fusion, sequences, [None, None])
+        _assert_rows_match_oracle(fusion, out, sequences, [None, None])
+        padded = pad_stack(sequences, 16)
+        padded.data[0, 1:] = rng.normal(size=(4, 16))
+        causal = causal_mask(5)[None, None, :, :]
+        perturbed = fusion.forward_batch(padded, np.array([0, 4]), causal)
+        np.testing.assert_array_equal(perturbed.data, out.data)
 
 
 class TestLosses:

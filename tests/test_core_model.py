@@ -1,6 +1,7 @@
 """Integration tests for the full TSPN-RA model and its ablations."""
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.core import TSPNRA, TSPNRAConfig
@@ -68,9 +69,9 @@ class TestForward:
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(4))
         sample = next(s for s in splits.train if s.history)
         tiles, pois = model.compute_embeddings()
-        model.encode(sample, tiles, pois)
+        model.encode_batch([sample], tiles, pois)
         size = len(model._graph_cache)
-        model.encode(sample, tiles, pois)
+        model.encode_batch([sample], tiles, pois)
         assert len(model._graph_cache) == size
         model.clear_graph_cache()
         assert len(model._graph_cache) == 0
@@ -97,7 +98,16 @@ class TestAblations:
         loss = model.loss_sample(sample, tiles, pois)
         assert np.isfinite(loss.item())
         model.eval()
-        assert model.predict(sample).poi_rank >= 1
+        result = model.predict(sample)
+        assert result.poi_rank >= 1
+        # the batch-of-one path agrees with the per-sample reference
+        expected = oracle.predict(model, sample)
+        assert result.ranked_pois == expected.ranked_pois
+        assert result.ranked_tiles == expected.ranked_tiles
+        reference = oracle.loss_sample(model, sample, tiles, pois).item()
+        assert model.loss_sample(sample, tiles, pois).item() == pytest.approx(
+            reference, rel=1e-10
+        )
 
     def test_no_two_step_ranks_all_pois(self, tiny):
         dataset, splits = tiny
@@ -106,6 +116,7 @@ class TestAblations:
         model.eval()
         result = model.predict(splits.test[0])
         assert len(result.ranked_pois) == len(dataset.city.pois)
+        assert result.ranked_pois == oracle.predict(model, splits.test[0]).ranked_pois
 
     def test_no_imagery_uses_table(self, tiny):
         dataset, _ = tiny

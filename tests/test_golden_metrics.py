@@ -41,9 +41,7 @@ def _current_metrics():
     set_seed(0)
     profile = get_profile("quick")
     data = prepare("nyc", profile, seed=profile.seed)
-    metrics, model = run_one(
-        "TSPN-RA", data, profile, seed=profile.seed, use_batched=True
-    )
+    metrics, model = run_one("TSPN-RA", data, profile, seed=profile.seed)
     return metrics, model, data, profile
 
 
@@ -104,7 +102,7 @@ def regenerate():
     payload = {
         "description": (
             "Seeded quick-profile TSPN-RA eval on the synthetic NYC preset, "
-            "batched trainer (use_batched=True), PR 2 miss-rank semantics "
+            "batched trainer, PR 2 miss-rank semantics "
             "(absent target ranks num_pois + 1). Regenerate with "
             "tests/test_golden_metrics.py::regenerate if semantics change "
             "intentionally."

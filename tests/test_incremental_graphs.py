@@ -21,6 +21,7 @@ module proves it three ways:
 import threading
 
 import numpy as np
+import oracle
 import pytest
 
 import repro.core.model as model_module
@@ -458,7 +459,7 @@ class TestPackedServeIdentity:
         model.clear_graph_cache()
         batched = model.predict_batch(mixed_batch, *shared)
         for sample, got in zip(mixed_batch, batched):
-            want = model.predict(sample, *shared)
+            want = oracle.predict(model, sample, *shared)
             assert got.ranked_pois == want.ranked_pois, sample.history_key
             assert got.ranked_tiles == want.ranked_tiles, sample.history_key
 
@@ -479,7 +480,7 @@ class TestPackedServeIdentity:
         self, model, tiny_dataset, mixed_batch
     ):
         shared = model.compute_embeddings()
-        expected = [model.predict(s, *shared) for s in mixed_batch]
+        expected = [oracle.predict(model, s, *shared) for s in mixed_batch]
         config = ServerConfig(workers=2, max_batch_size=8, max_wait_ms=2, compile=False)
         with InferenceServer(model, config=config, dataset=tiny_dataset) as server:
             results = [None] * len(mixed_batch)

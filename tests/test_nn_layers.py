@@ -64,6 +64,21 @@ class TestModuleMachinery:
         with pytest.raises(KeyError):
             a.load_state_dict({"weight": np.zeros((2, 3))})
 
+    def test_state_dict_shape_mismatch_is_atomic(self):
+        """A bad shape on the last parameter rejects the whole state:
+        no earlier parameter is overwritten or has its version bumped."""
+        model = Sequential(Linear(3, 4, rng=spawn(1)), Linear(4, 2, rng=spawn(2)))
+        params = dict(model.named_parameters())
+        before = {name: (p.data.copy(), p.version) for name, p in params.items()}
+        state = {name: np.ones_like(p.data) for name, p in params.items()}
+        last = list(params)[-1]
+        state[last] = np.ones(params[last].data.shape + (1,))
+        with pytest.raises(ValueError, match=last):
+            model.load_state_dict(state)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name][0])
+            assert p.version == before[name][1], name
+
     def test_zero_grad(self):
         layer = Linear(2, 2, rng=spawn(0))
         layer(_x((1, 2))).sum().backward()

@@ -2,6 +2,7 @@
 protocol, checkpoint round-trips, the serving facade and its caches."""
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.baselines import BASELINE_NAMES, BaselineResult, make_baseline
@@ -149,6 +150,8 @@ class TestProtocolConformance:
         # cosine scores are descending along the model's own ranking
         scores = model.score_candidates(sample, result.ranked_pois[:8])
         assert np.all(np.diff(scores) <= 1e-9)
+        expected = oracle.score_candidates(model, sample, result.ranked_pois[:8])
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
     def test_predict_without_target(self, tiny):
         from repro.data.trajectory import PredictionSample
@@ -293,7 +296,7 @@ class TestPredictor:
     ):
         _, splits, _ = tiny
         model = trained_tspnra
-        model.eval()  # the legacy loop below predicts on the bare model
+        model.eval()  # the reference loop below predicts on the bare model
         test = splits.test[:15]
         calls = {"n": 0}
         original = type(model).compute_embeddings
@@ -310,8 +313,8 @@ class TestPredictor:
             predictor.predict_batch(test)
             assert calls["n"] == 1  # second batch is a cache hit
             assert predictor.stats.embedding_cache_hits == 1
-            # the legacy per-sample loop recomputes shared state per call
-            legacy_ranks = [model.predict(s).poi_rank for s in test]
+            # the per-sample reference recomputes shared state per call
+            legacy_ranks = [oracle.predict(model, s).poi_rank for s in test]
             assert calls["n"] == 1 + len(test)
         finally:
             del model.compute_embeddings
@@ -379,7 +382,9 @@ class TestPredictor:
         predictor = Predictor.from_checkpoint(path, dataset=dataset)
         assert predictor.dataset is dataset
         ranks = [r.poi_rank for r in predictor.predict_batch(splits.test[:5])]
-        assert ranks == [trained_tspnra.predict(s).poi_rank for s in splits.test[:5]]
+        assert ranks == [
+            oracle.predict(trained_tspnra, s).poi_rank for s in splits.test[:5]
+        ]
 
     def test_restores_prior_mode_and_migrates_warm_graphs(self, tiny):
         dataset, splits, _ = tiny
@@ -502,7 +507,7 @@ class TestBatchedEquivalence:
         model.eval()
         batch = self._edge_case_batch(splits)
         shared = model.compute_embeddings()
-        per_sample = [model.predict(s, *shared) for s in batch]
+        per_sample = [oracle.predict(model, s, *shared) for s in batch]
         batched = model.predict_batch(batch, *shared)
         for single, multi in zip(per_sample, batched):
             assert multi.ranked_pois == single.ranked_pois
@@ -516,7 +521,7 @@ class TestBatchedEquivalence:
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(11))
         model.eval()
         batch = self._edge_case_batch(splits)
-        per_sample = [model.predict(s) for s in batch]
+        per_sample = [oracle.predict(model, s) for s in batch]
         batched = model.predict_batch(batch)
         assert [r.ranked_pois for r in batched] == [r.ranked_pois for r in per_sample]
         assert [r.ranked_tiles for r in batched] == [r.ranked_tiles for r in per_sample]
@@ -579,7 +584,7 @@ class TestBatchedEquivalence:
         batch = (splits.train + splits.test)[:80]
         assert len(batch) >= 64
         shared = model.compute_embeddings()
-        per_sample = [model.predict(s, *shared) for s in batch]
+        per_sample = [oracle.predict(model, s, *shared) for s in batch]
         batched = model.predict_batch(batch, *shared)
         assert [r.ranked_pois for r in batched] == [r.ranked_pois for r in per_sample]
         assert [r.ranked_tiles for r in batched] == [r.ranked_tiles for r in per_sample]
@@ -591,7 +596,7 @@ class TestBatchedEquivalence:
         model.eval()
         test = splits.test[:15]
         shared = model.compute_embeddings()
-        expected = [model.predict(s, *shared).poi_rank for s in test]
+        expected = [oracle.predict(model, s, *shared).poi_rank for s in test]
         assert collect_ranks(model, test) == expected
 
 

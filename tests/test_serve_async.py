@@ -2,6 +2,7 @@
 pool, HTTP front-end, and the thread-safety substrate underneath it
 (thread-local grad mode, locked caches and stats)."""
 
+import http.client
 import json
 import threading
 import time
@@ -9,6 +10,7 @@ import urllib.error
 import urllib.request
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.autograd import Tensor, is_grad_enabled, no_grad
@@ -27,11 +29,12 @@ from repro.serve import (
     ServeStats,
     ServerConfig,
     interpolated_percentile,
+    read_checkpoint,
     result_to_json,
     sample_from_json,
     save_checkpoint,
 )
-from repro.serve.protocol import target_poi_of
+from repro.serve.protocol import MAX_BODY_BYTES, target_poi_of
 from repro.utils import LRUCache, spawn
 
 CFG = dict(dim=16, fusion_layers=1, hgat_layers=1, top_k=4, num_heads=2)
@@ -659,7 +662,7 @@ class TestConcurrentPredictor:
     def test_parallel_predicts_match_serial(self, tiny, model):
         _, splits = tiny
         test = splits.test[:12]
-        serial = [model.predict(s).ranked_pois for s in test]
+        serial = [oracle.predict(model, s).ranked_pois for s in test]
 
         predictor = Predictor(model)
         results = {}
@@ -804,6 +807,20 @@ def _post(url, payload):
         return error.code, json.loads(error.read())
 
 
+def _post_declaring(front, path, declared, body=b""):
+    """POST with a hand-set Content-Length; the answer must come within 5 s."""
+    connection = http.client.HTTPConnection(front.host, front.port, timeout=5)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", declared)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 def _get(url):
     try:
         with urllib.request.urlopen(url, timeout=30) as response:
@@ -836,7 +853,7 @@ class TestHttpFrontend:
         }
         status, body = _post(front.url + "/predict", payload)
         assert status == 200
-        direct = model.predict(sample)
+        direct = oracle.predict(model, sample)
         assert body["top_pois"] == direct.top_k(5)
         assert body["poi_rank"] == direct.poi_rank
         assert body["target_poi"] == sample.target.poi_id
@@ -897,6 +914,24 @@ class TestHttpFrontend:
         assert status == expected_status
         assert fragment in body["error"]
 
+    @pytest.mark.parametrize(
+        "declared, expected_status, fragment",
+        [
+            ("-1", 400, "non-negative"),
+            ("ten", 400, "integer"),
+            (str(MAX_BODY_BYTES + 1), 413, "exceeds"),
+        ],
+    )
+    def test_bad_content_length_is_answered(
+        self, http_stack, declared, expected_status, fragment
+    ):
+        _, front = http_stack
+        status, body = _post_declaring(front, "/predict", declared)
+        assert status == expected_status
+        assert fragment in body["error"]
+        status, _ = _get(front.url + "/healthz")
+        assert status == 200
+
     def test_malformed_json_is_400(self, http_stack):
         _, front = http_stack
         request = urllib.request.Request(
@@ -920,6 +955,43 @@ class TestHttpFrontend:
         _, front = http_stack
         status, body = _get(front.url + "/nope")
         assert status == 404
+
+    def test_reload_shape_mismatch_is_400_and_keeps_serving(
+        self, tiny, model, http_stack, tmp_path
+    ):
+        """A checkpoint whose *last* parameter has the wrong shape is
+        rejected whole: no weight changes, and the old ranked lists are
+        still served."""
+        _, splits = tiny
+        _, front = http_stack
+        sample = next(s for s in splits.test if s.history)
+        payload = {
+            "user_id": sample.user_id,
+            "prefix": [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in sample.prefix],
+            "history": [
+                [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in t.visits]
+                for t in sample.history
+            ],
+            "k": 10,
+        }
+        status, before = _post(front.url + "/predict", payload)
+        assert status == 200
+        good = save_checkpoint(model, tmp_path / "good.npz")
+        meta, params, _ = read_checkpoint(good)
+        last = list(dict(model.named_parameters()))[-1]
+        params[last] = np.zeros(params[last].shape + (1,))
+        bad = tmp_path / "bad.npz"
+        np.savez(
+            bad,
+            __meta__=np.array(json.dumps(meta)),
+            **{"param::" + name: value for name, value in params.items()},
+        )
+        versions = [p.version for p in model.parameters()]
+        status, body = _post(front.url + "/reload", {"checkpoint": str(bad)})
+        assert status == 400
+        assert "shape mismatch" in body["error"]
+        assert [p.version for p in model.parameters()] == versions
+        assert _post(front.url + "/predict", payload) == (200, before)
 
     def test_reload_corrupt_checkpoint_is_400_not_dropped(self, http_stack, tmp_path):
         _, front = http_stack

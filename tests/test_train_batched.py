@@ -1,14 +1,17 @@
 """Equivalence and regression tests for the batched training path.
 
 The contract under test: ``loss_batch`` computes the *same objective*
-as summing ``loss_sample`` over the mini-batch — same value at equal
+as summing a per-sample loss over the mini-batch — same value at equal
 weights, parameter gradients equal to floating-point accumulation
 order, and (with dropout disabled, the one path-dependent RNG draw)
 bit-identical training trajectories through the full Trainer + Adam
-loop.
+loop.  For TSPN-RA the per-sample reference is the independent oracle
+in ``tests/oracle.py`` (the model's own ``loss_sample`` is a batch of
+one); the baselines keep their own per-sample losses.
 """
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.autograd import Tensor, cross_entropy
@@ -50,11 +53,15 @@ def _mixed_batch(splits):
     return batch
 
 
-def _grad_equivalence(model, batch, shared_fn, atol=1e-8):
-    """Assert loss_batch gradients match summed loss_sample gradients."""
+def _own_loss_sample(model, sample, *shared):
+    return model.loss_sample(sample, *shared)
+
+
+def _grad_equivalence(model, batch, shared_fn, atol=1e-8, reference=_own_loss_sample):
+    """Assert loss_batch gradients match summed per-sample gradients."""
     total = None
     for sample in batch:
-        loss = model.loss_sample(sample, *shared_fn())
+        loss = reference(model, sample, *shared_fn())
         total = loss if total is None else total + loss
     total.backward()
     per_sample = {
@@ -81,14 +88,18 @@ class TestGradientEquivalence:
         dataset, splits, _ = tiny
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(2))
         shared = model.compute_embeddings()
-        _grad_equivalence(model, _mixed_batch(splits), lambda: shared)
+        _grad_equivalence(
+            model, _mixed_batch(splits), lambda: shared, reference=oracle.loss_sample
+        )
 
     def test_tspnra_no_graph_ablation(self, tiny):
         dataset, splits, _ = tiny
         config = TSPNRAConfig(**CFG).variant(use_graph=False)
         model = TSPNRA.from_dataset(dataset, config, rng=spawn(3))
         shared = model.compute_embeddings()
-        _grad_equivalence(model, _mixed_batch(splits), lambda: shared)
+        _grad_equivalence(
+            model, _mixed_batch(splits), lambda: shared, reference=oracle.loss_sample
+        )
 
     def test_gru(self, tiny):
         dataset, splits, locations = tiny
@@ -123,11 +134,13 @@ class TestGradientEquivalence:
         config = TSPNRAConfig(**CFG).variant(drop_edge_type=drop)
         model = TSPNRA.from_dataset(dataset, config, rng=spawn(10))
         shared = model.compute_embeddings()
-        _grad_equivalence(model, _mixed_batch(splits), lambda: shared)
+        _grad_equivalence(
+            model, _mixed_batch(splits), lambda: shared, reference=oracle.loss_sample
+        )
 
     def test_edge_free_graph_matches_per_sample_identity(self, tiny):
         """A single-leaf history with contain edges dropped yields a
-        graph with nodes but no edges; per-sample HGAT short-circuits
+        graph with nodes but no edges; the per-graph HGAT short-circuits
         it to the identity, and the packed path must agree instead of
         zeroing its knowledge rows."""
         from repro.data.trajectory import Trajectory
@@ -155,7 +168,7 @@ class TestGradientEquivalence:
         assert not any(qrp.graph.edges[kind] for kind in qrp.graph.edges)
         shared = model.compute_embeddings()
         batch = [crafted] + _mixed_batch(splits)[:4]
-        _grad_equivalence(model, batch, lambda: shared)
+        _grad_equivalence(model, batch, lambda: shared, reference=oracle.loss_sample)
 
     def test_packed_hgat_size_cap(self, tiny, monkeypatch):
         """Splitting the block-diagonal HGAT packs must not change the
@@ -182,7 +195,7 @@ class TestGradientEquivalence:
 
 
 class TestTrainerDeterminism:
-    def _losses(self, dataset, splits, use_batched, seed=11):
+    def _losses(self, dataset, splits, per_sample, seed=11):
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(7))
         config = TrainConfig(
             epochs=3,
@@ -190,20 +203,21 @@ class TestTrainerDeterminism:
             lr=5e-3,
             max_train_samples=64,
             seed=seed,
-            use_batched=use_batched,
         )
-        return Trainer(model, config).fit(splits.train).epoch_losses
+        trained = oracle.PerSampleModel(model) if per_sample else model
+        return Trainer(trained, config).fit(splits.train).epoch_losses
 
     def test_paths_bit_identical_and_deterministic(self, tiny):
         """Same seed => bit-identical epoch_losses, within each path
-        (rerun) and *across* the batched / per-sample paths (dropout
-        disabled; both paths then compute identical losses and
-        gradients through the whole Adam trajectory)."""
+        (rerun) and *across* the batched path and the per-sample oracle
+        trained through the trainer's fallback loop (dropout disabled;
+        both then compute identical losses and gradients through the
+        whole Adam trajectory)."""
         dataset, splits, _ = tiny
-        batched = self._losses(dataset, splits, use_batched=True)
-        assert self._losses(dataset, splits, use_batched=True) == batched
-        per_sample = self._losses(dataset, splits, use_batched=False)
-        assert self._losses(dataset, splits, use_batched=False) == per_sample
+        batched = self._losses(dataset, splits, per_sample=False)
+        assert self._losses(dataset, splits, per_sample=False) == batched
+        per_sample = self._losses(dataset, splits, per_sample=True)
+        assert self._losses(dataset, splits, per_sample=True) == per_sample
         assert batched == per_sample
 
 
@@ -242,34 +256,9 @@ class TestTrainerDispatch:
     def test_fallback_without_loss_batch(self):
         model = _CountingToy()
         trainer = Trainer(model, TrainConfig(epochs=1, batch_size=4))
-        assert trainer.config.use_batched and not trainer.batched
+        assert not trainer.batched
         trainer.fit(_toy_samples())
         assert model.sample_calls == 16
-
-    def test_escape_hatch_forces_per_sample(self, tiny):
-        dataset, splits, locations = tiny
-        model = make_baseline("GRU", len(dataset.city.pois), locations, dim=16, rng=spawn(9))
-        calls = {"batch": 0}
-        original = model.loss_batch
-
-        def counting_loss_batch(samples, *shared):
-            calls["batch"] += 1
-            return original(samples, *shared)
-
-        model.loss_batch = counting_loss_batch
-        trainer = Trainer(
-            model, TrainConfig(epochs=1, batch_size=8, max_train_samples=16, use_batched=False)
-        )
-        assert not trainer.batched
-        trainer.fit(splits.train)
-        assert calls["batch"] == 0
-
-        batched_trainer = Trainer(
-            model, TrainConfig(epochs=1, batch_size=8, max_train_samples=16, use_batched=True)
-        )
-        assert batched_trainer.batched
-        batched_trainer.fit(splits.train)
-        assert calls["batch"] == 2
 
 
 class TestFitModeRestore:
