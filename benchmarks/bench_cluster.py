@@ -31,8 +31,11 @@ supervisor-path restart (process spawn + dataset rebuild + snapshot
 load + log-tail fold) — the measured crash-recovery cost, not a guess.
 
 Gates: the 4-shard cluster must sustain >= 2x the serialised
-baseline's events/s, and the cluster's post-ingest ranked lists must
-be identical to a never-crashed single-process control.  On a
+baseline's events/s, the cluster's post-ingest ranked lists must be
+identical to a never-crashed single-process control, and one
+keep-alive HTTP client of the 2-shard cluster must see a p50 within
+5 ms of ``ClusterRouter.predict_user`` called in-process
+(:mod:`http_latency`).  On a
 single-core box the cluster cannot beat the *in-process* stream leg
 (N processes time-slice one core and pay IPC on top); the JSON records
 ``cpu_cores`` so the trajectory stays honest about that.
@@ -49,6 +52,7 @@ import time
 from pathlib import Path
 
 import pytest
+from http_latency import keepalive_gate
 
 from repro.experiments import format_table, get_profile, prepare, run_one
 
@@ -64,6 +68,7 @@ BATCH_SIZE = 32
 # long enough to amortise pipeline fill/drain and scheduling noise
 PASSES = 3
 PASS_GAP_HOURS = 96.0  # > the 72h session-gap rule: each pass is a new session
+GATE_REQUESTS = 40
 
 
 def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compiled):
@@ -115,6 +120,18 @@ def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compil
         leg["plan_hits"] = sum(p.get("hits", 0) for p in shard_plans)
         leg["plan_misses"] = sum(p.get("misses", 0) for p in shard_plans)
     return router, leg
+
+
+def _frontdoor_gate(router, events):
+    """Keep-alive HTTP through the cluster frontend vs ``predict_user``."""
+    from repro.cluster import ClusterHttpFrontend
+
+    users = sorted({event.user_id for event in events})[:GATE_REQUESTS]
+    with ClusterHttpFrontend(router, port=0) as front:
+        return keepalive_gate(front, [
+            ({"user_id": user, "k": 10}, lambda user=user: router.predict_user(user, k=10))
+            for user in users
+        ])
 
 
 def _measure_recovery(router):
@@ -186,6 +203,7 @@ def run_bench(profile=None, save_report=None):
         # ---- cluster legs ----
         recovery = None
         parity = None
+        frontdoor = None
         plan_legs = (
             ("cluster-2", 2, False),
             ("cluster-4", 4, False),
@@ -198,6 +216,7 @@ def run_bench(profile=None, save_report=None):
             )
             try:
                 if leg_name == "cluster-2":
+                    frontdoor = _frontdoor_gate(router, events)
                     recovery = _measure_recovery(router)
                 elif compiled:
                     # ranked-list identity vs a never-crashed control:
@@ -276,6 +295,7 @@ def run_bench(profile=None, save_report=None):
         "legs": legs,
         "speedup_vs_baseline": speedups,
         "recovery": recovery,
+        "frontdoor": frontdoor,
         **(parity or {}),
     }
     out = RESULTS_DIR / "BENCH_cluster.json"
@@ -286,6 +306,9 @@ def run_bench(profile=None, save_report=None):
     # the tier gate: a 4-shard durable cluster must clear 2x the
     # serialised stateless deployment it replaces
     assert speedups["cluster-4"] >= 2.0, trajectory_point
+    # the front-door gate: keep-alive HTTP adds at most SLACK_MS to the
+    # router's in-process predict
+    assert frontdoor["ok"], frontdoor
     return trajectory_point
 
 

@@ -22,6 +22,10 @@ and assert ``GET /quality`` reports the join, the quality series show
 up in the final ``/metrics`` scrape, and the ``/quality`` JSON lands
 in ``benchmarks/results/QUALITY_sample.json`` as a second artifact.
 
+Last, the front-door latency gate (:mod:`http_latency`): one client
+sending back-to-back keep-alive ``POST /predict`` requests must see a
+p50 no more than 5 ms above ``InferenceServer.predict`` in-process.
+
 Run standalone with
 ``PYTHONPATH=src python benchmarks/smoke_serve_http.py``.
 """
@@ -30,6 +34,8 @@ import json
 import threading
 import urllib.request
 from pathlib import Path
+
+from http_latency import keepalive_gate
 
 from repro.experiments import get_profile, prepare, run_one
 from repro.obs import parse_prometheus
@@ -56,6 +62,18 @@ def _get(url):
         return response.status, json.loads(response.read())
 
 
+def _payload(sample):
+    return {
+        "user_id": sample.user_id,
+        "prefix": [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in sample.prefix],
+        "history": [
+            [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in trajectory.visits]
+            for trajectory in sample.history
+        ],
+        "k": 5,
+    }
+
+
 def main() -> None:
     profile = get_profile("quick").smaller(0.5)
     data = prepare("nyc", profile)
@@ -79,21 +97,7 @@ def main() -> None:
                 try:
                     for j in range(REQUESTS_PER_CLIENT):
                         sample = samples[(index * REQUESTS_PER_CLIENT + j) % len(samples)]
-                        payload = {
-                            "user_id": sample.user_id,
-                            "prefix": [
-                                {"poi_id": v.poi_id, "timestamp": v.timestamp}
-                                for v in sample.prefix
-                            ],
-                            "history": [
-                                [
-                                    {"poi_id": v.poi_id, "timestamp": v.timestamp}
-                                    for v in trajectory.visits
-                                ]
-                                for trajectory in sample.history
-                            ],
-                            "k": 5,
-                        }
+                        payload = _payload(sample)
                         endpoint = "/predict" if j % 2 == 0 else "/recommend"
                         status, body = _post(front.url + endpoint, payload)
                         assert status == 200, (endpoint, status, body)
@@ -206,6 +210,14 @@ def main() -> None:
                              "repro_drift_alert"):
                 assert required in quality_series, quality_series
 
+            # front-door latency: one keep-alive client must see the
+            # in-process predict latency plus at most SLACK_MS
+            gate = keepalive_gate(front, [
+                (_payload(sample), lambda sample=sample: server.predict(sample))
+                for sample in samples
+            ])
+            assert gate["ok"], gate
+
             RESULTS_DIR.mkdir(exist_ok=True)
             artifact = RESULTS_DIR / "OBS_sample.prom"
             artifact.write_text(final_scrape)
@@ -228,6 +240,11 @@ def main() -> None:
                 f"recall@5 {quality['strata']['all']['recall']['5']:.3f} "
                 f"({len(quality_series)} quality/drift series) "
                 f"[report archived to {quality_artifact}]"
+            )
+            print(
+                f"front door OK: keep-alive HTTP p50 {gate['http_p50_ms']:.2f} ms vs "
+                f"in-process {gate['in_process_p50_ms']:.2f} ms "
+                f"(gate: within {gate['slack_ms']:.0f} ms, {gate['requests']} requests)"
             )
 
 

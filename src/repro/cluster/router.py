@@ -17,6 +17,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -567,6 +568,8 @@ class ClusterRouter:
         )
         return {"enabled": True, "shards": shards, "cluster": cluster}
 
+    quality_report = quality
+
     def slow_requests(self, n: int = 10) -> List[Dict]:
         """The router's worst sampled routed requests (``/debug/slow``)."""
         return self.slow_ring.slow(n)
@@ -627,3 +630,49 @@ class ClusterRouter:
                 "slow_ring": len(self.slow_ring),
             },
         }
+
+    # ------------------------------------------------------------------
+    # front door: the repro.serve.httpd.ServingBackend protocol
+    # ------------------------------------------------------------------
+    stateful = True
+
+    def http_handler(self) -> type:
+        """The handler class :class:`~repro.serve.httpd.HttpFrontend` serves with."""
+        from . import frontend  # the frontend module builds on this one
+
+        return frontend._make_handler(self)
+
+    def health(self):
+        health = self.healthz()
+        return (200 if health["status"] == "ok" else 503), health
+
+    def traced(self):
+        # the router samples its own traces, one per routed round-trip
+        return nullcontext()
+
+    def http_checkin(self, payload: Dict):
+        return _http_reply(self.checkin, payload)
+
+    def http_predict_user(self, user_id: Optional[int], k: int):
+        return _http_reply(self.predict_user, user_id, k=k)
+
+    def http_predict(self, payload: Dict, k: int):
+        return _http_reply(self.predict_raw, payload, k=k)
+
+    def http_reload(self, payload: Dict):
+        # hot weight swap would need a new shared-memory generation and
+        # a coordinated cut-over across workers; a half-switched cluster
+        # serving two weight versions is worse than an honest restart
+        return 501, {"error": "cluster weight reload is not supported; "
+                              "restart the cluster with the new checkpoint"}
+
+
+def _http_reply(route, *args, **kwargs):
+    """Re-emit a shard reply as ``(status, body)``, keeping its status code."""
+    try:
+        reply = route(*args, **kwargs)
+    except ShardError as error:
+        return 503, {"error": str(error)}
+    if reply.get("ok"):
+        return 200, reply.get("result", {})
+    return int(reply.get("code", 500)), {"error": reply.get("error", "")}

@@ -33,7 +33,6 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -100,15 +99,21 @@ def _error(code: int, error: Exception) -> Dict:
     return {"ok": False, "code": code, "error": str(error)}
 
 
+def _reply(status: int, body: Dict) -> Dict:
+    """A front-door ``(status, body)`` answer as a pipe reply."""
+    if status == 200:
+        return {"ok": True, "result": body}
+    return {"ok": False, "code": status, "error": body["error"]}
+
+
 class _WorkerRuntime:
     """The in-process half of a shard worker (also used by tests directly)."""
 
     def __init__(self, spec: WorkerSpec):
         from ..serve.checkpoint import build_dataset_from_meta, build_model_from_meta
-        from ..serve.protocol import result_to_json, sample_from_json
+        from ..serve.protocol import sample_from_json
         from ..serve.server import InferenceServer, ServerConfig
 
-        self._result_to_json = result_to_json
         self._sample_from_json = sample_from_json
         self.spec = spec
         self.weights = SharedWeights.attach(spec.weights_manifest)
@@ -200,44 +205,14 @@ class _WorkerRuntime:
         return {"ok": True, "result": result.as_dict()}
 
     def _op_predict(self, request: Dict) -> Dict:
-        user_id = request.get("user_id")
-        k = request.get("k", 10)
-        try:
-            future = self.server.submit_user(user_id)
-        except KeyError:
-            return _error(404, KeyError(f"no check-in state for user {user_id}"))
-        except ValueError as error:
-            return _error(400, error)
-        return self._await(future, k)
+        user_id, k = request.get("user_id"), request.get("k", 10)
+        return _reply(*self.server.http_predict_user(user_id, k))
 
     def _op_predict_raw(self, request: Dict) -> Dict:
-        try:
-            sample = self._sample_from_json(
-                request["payload"], num_pois=self.server.num_pois
-            )
-        except ValueError as error:
-            return _error(400, error)
-        try:
-            future = self.server.submit(sample)
-        except ValueError as error:
-            return _error(400, error)
-        return self._await(future, request.get("k", 10))
+        return _reply(*self.server.http_predict(request["payload"], request.get("k", 10)))
 
     def _await(self, future, k: int) -> Dict:
-        from ..serve.scheduler import QueueFullError, SchedulerClosedError
-
-        try:
-            result = future.result(self.spec.request_timeout_s)
-        except FutureTimeoutError as error:
-            future.cancel()
-            return _error(504, error)
-        except QueueFullError as error:
-            return _error(429, error)
-        except SchedulerClosedError as error:
-            return _error(503, error)
-        except Exception as error:
-            return _error(500, error)
-        return {"ok": True, "result": self._result_to_json(result, k=k)}
+        return _reply(*self.server.http_result(future, k))
 
     def _op_stream(self, request: Dict) -> Dict:
         """Batched ingest with pipelined interleaved predictions.

@@ -25,9 +25,10 @@ Entry points
   pool of Predictor replicas sharing one checkpoint's weights, with
   bounded-queue admission control (:class:`QueueFullError`), graceful
   draining shutdown, and hot weight reload;
-* :class:`HttpFrontend` — the stdlib HTTP/JSON front door
-  (``/predict``, ``/recommend``, ``/healthz``, ``/stats``,
-  ``/reload``); request/response codecs are
+* :class:`HttpFrontend` — the stdlib HTTP/JSON front door both tiers
+  share: one handler over a :class:`ServingBackend` (``/predict``,
+  ``/recommend``, ``/checkin``, ``/healthz``, ``/stats``,
+  ``/reload``, ...); request/response codecs are
   :func:`sample_from_json` / :func:`result_to_json`;
 * :func:`compare_throughput` — uncached vs cached-per-sample vs
   batched vs compiled serving microbench (the batched leg reports
@@ -70,7 +71,8 @@ from .scheduler import (
     SchedulerClosedError,
     ServeRequest,
 )
-from .server import HttpFrontend, InferenceServer, ServerConfig
+from .httpd import HttpFrontend, ServingBackend
+from .server import InferenceServer, ServerConfig
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -87,6 +89,7 @@ __all__ = [
     "QueueFullError",
     "SchedulerClosedError",
     "ServeRequest",
+    "ServingBackend",
     "ServeStats",
     "ServerConfig",
     "compare_throughput",

@@ -326,11 +326,14 @@ class RequestBodyError(ValueError):
 
     ``status`` is the HTTP status to answer with; ``body_read`` is
     False when the body was left unread on the socket, in which case
-    the connection cannot be reused for another request.
+    the connection cannot be reused for another request.  ``reason``
+    labels the rejection counter: ``bad_length``, ``too_large`` or
+    ``bad_json``.
     """
 
-    def __init__(self, message: str, status: int = 400, body_read: bool = True):
+    def __init__(self, message: str, reason: str, status: int = 400, body_read: bool = True):
         super().__init__(message)
+        self.reason = reason
         self.status = status
         self.body_read = body_read
 
@@ -348,25 +351,30 @@ def read_json_body(headers, rfile) -> Dict:
         length = int(declared) if declared else 0
     except ValueError:
         raise RequestBodyError(
-            f"Content-Length must be an integer, got {declared!r}", body_read=False
+            f"Content-Length must be an integer, got {declared!r}",
+            "bad_length",
+            body_read=False,
         ) from None
     if length < 0:
         raise RequestBodyError(
-            f"Content-Length must be non-negative, got {length}", body_read=False
+            f"Content-Length must be non-negative, got {length}",
+            "bad_length",
+            body_read=False,
         )
     if length > MAX_BODY_BYTES:
         raise RequestBodyError(
             f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            "too_large",
             status=413,
             body_read=False,
         )
     raw = rfile.read(length) if length else b""
     if not raw:
-        raise RequestBodyError("empty request body")
+        raise RequestBodyError("empty request body", "bad_json")
     try:
         payload = json.loads(raw)
     except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
-        raise RequestBodyError(f"invalid JSON: {error}") from error
+        raise RequestBodyError(f"invalid JSON: {error}", "bad_json") from error
     if not isinstance(payload, dict):
-        raise RequestBodyError("request body must be a JSON object")
+        raise RequestBodyError("request body must be a JSON object", "bad_json")
     return payload

@@ -16,11 +16,15 @@ service.  Three layers, composable and individually testable:
   embedding cache refreshes itself via the existing
   ``weights_version`` token.
 * :class:`ServerConfig` — batching/pool/backpressure knobs.
-* :class:`HttpFrontend` — a stdlib-only HTTP/JSON front door
-  (``/predict``, ``/recommend``, ``/checkin``, ``/healthz``,
-  ``/stats``, ``/reload``) on a threading HTTP server; each connection
-  thread blocks on its request future while the scheduler coalesces
-  concurrent requests into micro-batches.
+* HTTP: :class:`InferenceServer` is a
+  :class:`~repro.serve.httpd.ServingBackend` of the shared front door
+  (:class:`~repro.serve.httpd.HttpFrontend`).  Its ``http_*`` methods
+  keep what only this tier does there: stateless 400s, scheduler
+  admission and timeouts, hot reload and sampled tracing.  Cluster
+  shards answer through them too, so a shard's verdict is the
+  single-process one.  Each connection thread blocks on its request
+  future while the scheduler coalesces concurrent requests into
+  micro-batches.
 
 Stateful serving (``state_store=``): the server owns per-user check-in
 state (:mod:`repro.stream`).  ``POST /checkin`` appends one arrival —
@@ -47,13 +51,12 @@ batch.
 from __future__ import annotations
 
 import copy
-import json
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -74,12 +77,11 @@ from ..stream.events import CheckinEvent, event_from_json
 from ..stream.ingest import StreamIngest
 from ..stream.state import AppendResult, UserStateStore
 from .checkpoint import load_checkpoint, read_checkpoint
+from .httpd import make_handler
 from .plans import PlanCache, supports_plans
 from .predictor import LATENCY_PERCENTILES, Predictor, ServeStats
 from .protocol import (
     PredictorResult,
-    RequestBodyError,
-    read_json_body,
     result_to_json,
     sample_from_json,
 )
@@ -724,287 +726,113 @@ class InferenceServer:
         """The ``n`` worst recent traced requests as span trees."""
         return self.slow_ring.slow(n)
 
+    # ------------------------------------------------------------------
+    # front door: the repro.serve.httpd.ServingBackend protocol
+    # ------------------------------------------------------------------
+    def http_handler(self) -> type:
+        """The handler class :class:`~repro.serve.httpd.HttpFrontend` serves with."""
+        return _make_handler(self)
 
-# ----------------------------------------------------------------------
-# HTTP front-end (stdlib only)
-# ----------------------------------------------------------------------
+    def health(self):
+        return 200, {
+            "status": "ok" if self.running else "stopping",
+            "workers": len(self.predictors),
+            "weights_version": self._primary.weights_version(),
+        }
+
+    @contextmanager
+    def traced(self):
+        """Sampled tracing of one HTTP request.
+
+        The trace is thread-local for the rest of the request (submit
+        captures it onto the ServeRequest; checkin's WAL append sees it
+        directly) and lands in the slow ring once the response is out.
+        """
+        trace = maybe_trace(self.config.trace_sample)
+        try:
+            with activate(trace):
+                yield
+        finally:
+            if trace is not None:
+                self._traces_sampled.inc()
+                self.slow_ring.offer(trace)
+
+    def http_checkin(self, payload: Dict):
+        if not self.stateful:
+            return 400, {"error": "this server is stateless; start it with "
+                                  "repro serve --stateful to accept check-ins"}
+        try:
+            with span("validate"):
+                event = event_from_json(payload, num_pois=self.num_pois)
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        try:
+            result = self.checkin(event)
+        except ValueError as error:
+            # out-of-order arrival: the client's clock conflicts with
+            # already-ingested state, not with the schema
+            return 409, {"error": str(error)}
+        return 200, result.as_dict()
+
+    def http_predict_user(self, user_id: Optional[int], k: int):
+        if not self.stateful:
+            return 400, {"error": "history-less predict needs a stateful server; "
+                                  "start it with repro serve --stateful or ship "
+                                  "a 'prefix' with the request"}
+        try:
+            with span("validate", historyless=True):
+                sample = self.state_store.sample_for(user_id)
+        except KeyError:
+            return 404, {"error": f"no check-in state for user {user_id}"}
+        return self._http_submit(sample, k)
+
+    def http_predict(self, payload: Dict, k: int):
+        try:
+            with span("validate"):
+                sample = sample_from_json(payload, num_pois=self.num_pois)
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        return self._http_submit(sample, k)
+
+    def _http_submit(self, sample, k: int):
+        try:
+            future = self.submit(sample)
+        except QueueFullError as error:
+            return 429, {"error": str(error), **self.scheduler.stats()}
+        except SchedulerClosedError as error:
+            return 503, {"error": str(error)}
+        except ValueError as error:  # a stored sample the encode would reject
+            return 400, {"error": str(error)}
+        return self.http_result(future, k)
+
+    def http_result(self, future: Future, k: int):
+        """Wait for one submitted request and answer it."""
+        timeout = self.config.request_timeout_s
+        try:
+            result = future.result(timeout)
+        except FutureTimeoutError:
+            future.cancel()  # still queued -> don't waste a worker on it
+            return 504, {"error": f"request timed out after {timeout}s"}
+        except Exception as error:  # the batch raised
+            return 500, {"error": str(error)}
+        return 200, result_to_json(result, k=k)
+
+    def http_reload(self, payload: Dict):
+        path = payload.get("checkpoint")
+        if not isinstance(path, str) or not path:
+            return 400, {"error": "reload needs a 'checkpoint' path"}
+        try:
+            version = self.reload_weights(path)
+        except FileNotFoundError:
+            return 400, {"error": f"checkpoint not found: {path}"}
+        except Exception as error:
+            # not just ValueError/KeyError: a corrupt or non-.npz file
+            # surfaces as BadZipFile/OSError from np.load, and the
+            # client must get a 400, not a 500
+            return 400, {"error": f"{type(error).__name__}: {error}"}
+        return 200, {"weights_version": version}
+
+
 def _make_handler(server: InferenceServer):
-    """A request-handler class bound to one :class:`InferenceServer`."""
-
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve/1.0"
-        protocol_version = "HTTP/1.1"
-
-        # the runtime's stats cover observability; per-request access
-        # logging on stderr would just add noise to benchmarks
-        def log_message(self, format, *args):
-            pass
-
-        def _send_json(self, status: int, payload: Dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self):
-            if self.path == "/healthz":
-                self._send_json(
-                    200,
-                    {
-                        "status": "ok" if server.running else "stopping",
-                        "workers": len(server.predictors),
-                        "weights_version": server.model.weights_version(),
-                    },
-                )
-            elif self.path == "/stats":
-                self._send_json(200, server.stats())
-            elif self.path == "/metrics":
-                self._send_text(
-                    200, server.metrics_text(), "text/plain; version=0.0.4"
-                )
-            elif self.path == "/quality":
-                self._send_json(200, server.quality_report())
-            elif self.path.startswith("/debug/slow"):
-                self._send_json(200, {"slow": server.slow_requests(self._slow_n())})
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-
-        def _slow_n(self) -> int:
-            # /debug/slow?n=25 — bad or absent n falls back to 10
-            _, _, query = self.path.partition("?")
-            for part in query.split("&"):
-                key, _, value = part.partition("=")
-                if key == "n" and value.isdigit():
-                    return max(1, min(int(value), server.slow_ring.capacity))
-            return 10
-
-        def do_POST(self):
-            if self.path not in ("/predict", "/recommend", "/reload", "/checkin"):
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-                return
-            # Sampled request tracing: the trace is thread-local for
-            # the rest of this handler (submit captures it onto the
-            # ServeRequest; checkin's WAL append sees it directly) and
-            # lands in the slow ring once the response is written.
-            trace = maybe_trace(server.config.trace_sample)
-            try:
-                with activate(trace):
-                    self._dispatch_post()
-            finally:
-                if trace is not None:
-                    server._traces_sampled.inc()
-                    server.slow_ring.offer(trace)
-
-        def _dispatch_post(self):
-            with span("http.parse", path=self.path):
-                try:
-                    payload = read_json_body(self.headers, self.rfile)
-                except RequestBodyError as error:
-                    self.close_connection = not error.body_read
-                    self._send_json(error.status, {"error": str(error)})
-                    return
-            if self.path == "/reload":
-                self._reload(payload)
-            elif self.path == "/checkin":
-                self._checkin(payload)
-            else:
-                self._infer(payload, recommend=self.path == "/recommend")
-
-        def _checkin(self, payload: Dict) -> None:
-            if not server.stateful:
-                self._send_json(
-                    400,
-                    {"error": "this server is stateless; start it with "
-                              "repro serve --stateful to accept check-ins"},
-                )
-                return
-            try:
-                with span("validate"):
-                    event = event_from_json(payload, num_pois=server.num_pois)
-            except ValueError as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            try:
-                result = server.checkin(event)
-            except ValueError as error:
-                # out-of-order arrival: the client's clock conflicts
-                # with already-ingested state, not with the schema
-                self._send_json(409, {"error": str(error)})
-                return
-            self._send_json(200, result.as_dict())
-
-        def _stored_sample(self, payload: Dict):
-            """Resolve a history-less request body against the store.
-
-            Returns ``(sample, None)`` or ``(None, handled)`` after
-            sending the error response.
-            """
-            if not server.stateful:
-                self._send_json(
-                    400,
-                    {"error": "history-less predict needs a stateful server; "
-                              "start it with repro serve --stateful or ship "
-                              "a 'prefix' with the request"},
-                )
-                return None, True
-            user_id = payload.get("user_id")
-            if isinstance(user_id, bool) or not isinstance(user_id, int):
-                self._send_json(400, {"error": "user_id must be an integer"})
-                return None, True
-            try:
-                return server.state_store.sample_for(user_id), None
-            except KeyError:
-                self._send_json(
-                    404, {"error": f"no check-in state for user {user_id}"}
-                )
-                return None, True
-
-        def _infer(self, payload: Dict, recommend: bool) -> None:
-            k = payload.get("k", 10)
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                self._send_json(400, {"error": "k must be a positive integer"})
-                return
-            # classify the *as-shipped* body before /recommend drops the
-            # target, so both endpoints route a given body identically
-            historyless = not any(
-                key in payload for key in ("prefix", "history", "target")
-            )
-            if recommend:
-                payload = dict(payload)
-                payload.pop("target", None)  # recommendations carry no truth
-            if historyless:
-                # history-less form: {"user_id": ...} with no shipped
-                # trajectory data at all — the server resolves the
-                # stored history/prefix before batching.  A body that
-                # ships history or a target but no prefix is a broken
-                # *stateless* request and must keep its 400; silently
-                # serving it from stored state would mask the bug.
-                with span("validate", historyless=True):
-                    sample, handled = self._stored_sample(payload)
-                if handled:
-                    return
-            else:
-                try:
-                    with span("validate"):
-                        sample = sample_from_json(payload, num_pois=server.num_pois)
-                except ValueError as error:
-                    self._send_json(400, {"error": str(error)})
-                    return
-            try:
-                future = server.submit(sample)
-            except QueueFullError as error:
-                self._send_json(
-                    429,
-                    {"error": str(error), **server.scheduler.stats()},
-                )
-                return
-            except SchedulerClosedError as error:
-                self._send_json(503, {"error": str(error)})
-                return
-            try:
-                result = future.result(server.config.request_timeout_s)
-            except FutureTimeoutError:
-                future.cancel()  # still queued -> don't waste a worker on it
-                self._send_json(
-                    504,
-                    {"error": f"request timed out after {server.config.request_timeout_s}s"},
-                )
-                return
-            except Exception as error:  # the batch raised
-                self._send_json(500, {"error": str(error)})
-                return
-            body = result_to_json(result, k=k)
-            if recommend:
-                body = {
-                    "user_id": sample.user_id,
-                    "recommendations": body["top_pois"],
-                    "num_pois": body["num_pois"],
-                }
-            self._send_json(200, body)
-
-        def _reload(self, payload: Dict) -> None:
-            path = payload.get("checkpoint")
-            if not isinstance(path, str) or not path:
-                self._send_json(400, {"error": "reload needs a 'checkpoint' path"})
-                return
-            try:
-                version = server.reload_weights(path)
-            except FileNotFoundError:
-                self._send_json(400, {"error": f"checkpoint not found: {path}"})
-                return
-            except Exception as error:
-                # not just ValueError/KeyError: a corrupt or non-.npz
-                # file surfaces as BadZipFile/OSError from np.load, and
-                # the client must get a 400, not a dropped connection
-                self._send_json(400, {"error": f"{type(error).__name__}: {error}"})
-                return
-            self._send_json(200, {"weights_version": version})
-
-    return Handler
-
-
-class HttpFrontend:
-    """Serve an :class:`InferenceServer` over HTTP/JSON.
-
-    Endpoints: ``POST /predict`` and ``POST /recommend`` (see
-    :func:`~repro.serve.protocol.sample_from_json` for the body
-    schema; on a stateful server a body without ``prefix`` is the
-    history-less form ``{"user_id": ...}`` served from the state
-    store), ``POST /checkin`` (``{"user_id", "poi_id", "timestamp"}``,
-    stateful servers only), ``POST /reload`` (``{"checkpoint": path}``),
-    ``GET /healthz``, ``GET /stats``, ``GET /metrics`` (Prometheus
-    text), ``GET /quality`` (live prequential accuracy by cold-start
-    stratum plus drift gauges; stateful servers) and
-    ``GET /debug/slow?n=10`` (the worst recent traced
-    requests as span trees).  A threading HTTP server
-    gives each connection its own thread; those threads block on their
-    request futures while the scheduler coalesces them into
-    micro-batches.  ``port=0`` binds an ephemeral port (tests).
-    """
-
-    def __init__(self, server: InferenceServer, host: str = "127.0.0.1", port: int = 8151):
-        self.inference = server
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(server))
-        self._httpd.daemon_threads = True
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "HttpFrontend":
-        if self._thread is not None:
-            raise RuntimeError("HTTP front-end already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="serve-http", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Run in the calling thread until interrupted (CLI mode)."""
-        self._httpd.serve_forever()
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
-
-    def __enter__(self) -> "HttpFrontend":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+    """The HTTP handler class bound to one :class:`InferenceServer`."""
+    return make_handler(server)

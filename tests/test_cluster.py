@@ -11,7 +11,6 @@ Worker processes spawn (~seconds each): everything that can share the
 module cluster does, and the multi-cycle crash loop is marked slow.
 """
 
-import http.client
 import json
 import os
 import signal
@@ -19,6 +18,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from http_contract import FrontDoorContract
 
 from repro.cluster import (
     ClusterConfig,
@@ -30,7 +30,6 @@ from repro.cluster import (
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
 from repro.serve import InferenceServer, load_checkpoint, save_checkpoint
-from repro.serve.protocol import MAX_BODY_BYTES
 from repro.stream import StoreConfig, UserStateStore
 from repro.stream.events import events_from_checkins
 from repro.utils import spawn
@@ -124,20 +123,6 @@ def _post(url, payload):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
-
-
-def _post_declaring(front, path, declared, body=b""):
-    """POST with a hand-set Content-Length; the answer must come within 5 s."""
-    connection = http.client.HTTPConnection(front.host, front.port, timeout=5)
-    try:
-        connection.putrequest("POST", path)
-        connection.putheader("Content-Type", "application/json")
-        connection.putheader("Content-Length", declared)
-        connection.endheaders(body)
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        connection.close()
 
 
 def _get(url):
@@ -440,7 +425,14 @@ class TestKillAndRecover:
 # ----------------------------------------------------------------------
 # HTTP surface
 # ----------------------------------------------------------------------
-class TestClusterHttp:
+@pytest.fixture(scope="module")
+def front_door(frontend):
+    return frontend
+
+
+class TestClusterHttp(FrontDoorContract):
+    RELOADS = False
+
     def test_healthz_lists_every_shard(self, frontend):
         status, body = _get(frontend.url + "/healthz")
         assert status == 200
@@ -459,23 +451,6 @@ class TestClusterHttp:
         for shard in cluster["shards"]:
             assert {"queue_depth", "in_flight", "users", "durability"} <= set(shard)
             assert shard["durability"]["last_seq"] > 0
-
-    @pytest.mark.parametrize(
-        "declared, expected_status, fragment",
-        [
-            ("-1", 400, "non-negative"),
-            ("ten", 400, "integer"),
-            (str(MAX_BODY_BYTES + 1), 413, "exceeds"),
-        ],
-    )
-    def test_bad_content_length_is_answered(
-        self, frontend, declared, expected_status, fragment
-    ):
-        status, body = _post_declaring(frontend, "/predict", declared)
-        assert status == expected_status
-        assert fragment in body["error"]
-        status, _ = _get(frontend.url + "/healthz")
-        assert status == 200
 
     def test_checkin_conflict_propagates_as_409(self, frontend, event_tape):
         stale = dict(event_tape[0])

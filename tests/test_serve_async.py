@@ -2,7 +2,6 @@
 pool, HTTP front-end, and the thread-safety substrate underneath it
 (thread-local grad mode, locked caches and stats)."""
 
-import http.client
 import json
 import threading
 import time
@@ -12,6 +11,7 @@ import urllib.request
 import numpy as np
 import oracle
 import pytest
+from http_contract import FrontDoorContract
 
 from repro.autograd import Tensor, is_grad_enabled, no_grad
 from repro.core import TSPNRA, TSPNRAConfig
@@ -34,7 +34,8 @@ from repro.serve import (
     sample_from_json,
     save_checkpoint,
 )
-from repro.serve.protocol import MAX_BODY_BYTES, target_poi_of
+from repro.serve.protocol import target_poi_of
+from repro.stream import StoreConfig, UserStateStore
 from repro.utils import LRUCache, spawn
 
 CFG = dict(dim=16, fusion_layers=1, hgat_layers=1, top_k=4, num_heads=2)
@@ -807,20 +808,6 @@ def _post(url, payload):
         return error.code, json.loads(error.read())
 
 
-def _post_declaring(front, path, declared, body=b""):
-    """POST with a hand-set Content-Length; the answer must come within 5 s."""
-    connection = http.client.HTTPConnection(front.host, front.port, timeout=5)
-    try:
-        connection.putrequest("POST", path)
-        connection.putheader("Content-Type", "application/json")
-        connection.putheader("Content-Length", declared)
-        connection.endheaders(body)
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        connection.close()
-
-
 def _get(url):
     try:
         with urllib.request.urlopen(url, timeout=30) as response:
@@ -829,7 +816,20 @@ def _get(url):
         return error.code, json.loads(error.read())
 
 
-class TestHttpFrontend:
+@pytest.fixture(scope="module")
+def front_door(model):
+    """The front-door contract's stack: a stateful single-process server."""
+    config = ServerConfig(workers=1, max_batch_size=4, max_wait_ms=1.0)
+    server = InferenceServer(
+        model, config=config, state_store=UserStateStore(StoreConfig(num_shards=2))
+    ).start()
+    front = HttpFrontend(server, port=0).start()
+    yield front
+    front.stop()
+    server.stop(drain=True)
+
+
+class TestHttpFrontend(FrontDoorContract):
     def test_healthz(self, http_stack):
         _, front = http_stack
         status, body = _get(front.url + "/healthz")
@@ -896,41 +896,6 @@ class TestHttpFrontend:
         for t in threads:
             t.join()
         assert outcomes == [(200, 4)] * 8
-
-    @pytest.mark.parametrize(
-        "path, payload, expected_status, fragment",
-        [
-            ("/predict", {"prefix": []}, 400, "non-empty"),
-            ("/predict", {"prefix": [10 ** 9]}, 400, "universe"),
-            ("/predict", {"prefix": [1], "k": 0}, 400, "k must be"),
-            ("/reload", {}, 400, "checkpoint"),
-            ("/reload", {"checkpoint": "/nonexistent.npz"}, 400, "not found"),
-            ("/nope", {"prefix": [1]}, 404, "unknown path"),
-        ],
-    )
-    def test_error_statuses(self, http_stack, path, payload, expected_status, fragment):
-        _, front = http_stack
-        status, body = _post(front.url + path, payload)
-        assert status == expected_status
-        assert fragment in body["error"]
-
-    @pytest.mark.parametrize(
-        "declared, expected_status, fragment",
-        [
-            ("-1", 400, "non-negative"),
-            ("ten", 400, "integer"),
-            (str(MAX_BODY_BYTES + 1), 413, "exceeds"),
-        ],
-    )
-    def test_bad_content_length_is_answered(
-        self, http_stack, declared, expected_status, fragment
-    ):
-        _, front = http_stack
-        status, body = _post_declaring(front, "/predict", declared)
-        assert status == expected_status
-        assert fragment in body["error"]
-        status, _ = _get(front.url + "/healthz")
-        assert status == 200
 
     def test_malformed_json_is_400(self, http_stack):
         _, front = http_stack
