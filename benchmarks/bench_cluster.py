@@ -9,8 +9,8 @@ prequential ingest+predict workload through four deployments:
   BENCH_stream: rebuild the user's sessions and QR-P graph from the
   raw log per arrival, predict one request at a time (re-measured
   in-run so the gate compares same-machine numbers);
-* **stream** — the in-process :class:`~repro.stream.UserStateStore`
-  path (PR 5's winning leg), for the single-process ceiling;
+* **incremental** — the in-process :class:`~repro.stream.UserStateStore`
+  replay (BENCH_stream's winning leg), for the single-process ceiling;
 * **cluster-2 / cluster-4** — the new tier: shard worker subprocesses
   with consistent-hash routing, every acknowledged event logged to a
   per-shard WAL with periodic snapshots, predictions pipelined through
@@ -36,7 +36,7 @@ identical to a never-crashed single-process control, and one
 keep-alive HTTP client of the 2-shard cluster must see a p50 within
 5 ms of ``ClusterRouter.predict_user`` called in-process
 (:mod:`http_latency`).  On a
-single-core box the cluster cannot beat the *in-process* stream leg
+single-core box the cluster cannot beat the *in-process* incremental leg
 (N processes time-slice one core and pay IPC on top); the JSON records
 ``cpu_cores`` so the trajectory stays honest about that.
 
@@ -52,6 +52,7 @@ import time
 from pathlib import Path
 
 import pytest
+from bench_stream_replay import replay_legs
 from http_latency import keepalive_gate
 
 from repro.experiments import format_table, get_profile, prepare, run_one
@@ -159,12 +160,7 @@ def run_bench(profile=None, save_report=None):
         load_checkpoint,
         save_checkpoint,
     )
-    from repro.stream import (
-        StoreConfig,
-        UserStateStore,
-        compare_replay,
-        events_from_checkins,
-    )
+    from repro.stream import StoreConfig, UserStateStore, events_from_checkins
     from repro.stream.events import CheckinEvent, event_to_json
 
     base_events = list(events_from_checkins(data.dataset.checkins))
@@ -181,10 +177,7 @@ def run_bench(profile=None, save_report=None):
     # tier replaces, and the gate must compare like with like (the
     # eager cluster legs below)
     predictor = Predictor(model, graph_cache_size=512, compile=False)
-    comparison = compare_replay(
-        predictor, events, batch_size=BATCH_SIZE, max_events=MAX_EVENTS
-    )
-    reports = comparison.pop("_reports")
+    reports = replay_legs(predictor, events, batch_size=BATCH_SIZE, rounds=1)["_reports"]
     legs = {
         name: {
             "leg": name,

@@ -3,34 +3,29 @@ BENCH_stream.
 
 Seeds the BENCH trajectory for the ``repro.stream`` subsystem.  A
 trained quick-profile NYC model replays the dataset's check-ins in
-global time order through three deployments of the same predictor:
+global time order through two deployments of the same predictor:
 
-* **baseline** — the serialised, stateless cost model: every arrival
+* **baseline** — the serialised, stateless cost model
+  (:func:`~repro.stream.serialised_rebuild_baseline`): every arrival
   that warrants a prediction first rebuilds the user's sessions from
   the raw log (the server holds no state) and recomputes the per-user
   QR-P graph from scratch, one request at a time;
-* **stream** — the :class:`~repro.stream.UserStateStore` path: O(1)
-  sharded appends, session rollover at the Δt gap rule, per-user QR-P
-  graphs cached under ``("stream", user, history_version)`` keys and
-  retired exactly when the history moves, and predictions flushed
-  through the vectorised ``predict_batch`` in cross-user chunks
-  (sound under prequential order because every sample is an immutable
-  pre-ingest snapshot);
-* **incremental** — the stream leg plus O(session) QR-P maintenance:
-  the store keeps each user's live graph, session rollovers update it
-  incrementally (:class:`~repro.graphs.QRPGraphMaintainer`) and push
-  the fresh ``(qrp, masks)`` entry into the serving cache, so a
-  rollover is cache-neutral instead of an O(history) rebuild on the
-  next miss.
+* **incremental** — :func:`~repro.stream.prequential_replay` over the
+  :class:`~repro.stream.UserStateStore`: O(1) sharded appends, session
+  rollover at the Δt gap rule, predictions flushed through the
+  vectorised ``predict_batch`` in cross-user chunks (sound under
+  prequential order because every sample is an immutable pre-ingest
+  snapshot), and O(session) QR-P maintenance — rollovers update each
+  user's live graph (:class:`~repro.graphs.QRPGraphMaintainer`) and
+  push the fresh ``(qrp, masks)`` entry into the serving cache instead
+  of paying an O(history) rebuild on the next miss.
 
-All legs make identical prediction decisions from identical inputs, so
+Both legs make identical prediction decisions from identical inputs, so
 their ranked lists must agree (asserted) — the comparison isolates the
-*architecture*, not the model.  Legs run interleaved round-robin over
-``ROUNDS`` rounds and each speedup is the median of per-round paired
-ratios, the same discipline as BENCH_serve.  The acceptance gates
-assert the streaming leg sustains >= 2x the baseline's ingest+predict
-events/sec and the incremental leg >= 1.5x (it additionally holds off
-rebuild-per-rollover).
+*architecture*, not the model.  Legs run as interleaved paired rounds
+(:mod:`paired`) over ``ROUNDS`` rounds, the same discipline as
+BENCH_serve.  The acceptance gate asserts the incremental leg sustains
+>= 2x the baseline's ingest+predict events/sec.
 
 Two model-quality-observability legs ride along: **quality overhead**
 replays the same tape with the prequential
@@ -47,20 +42,20 @@ emits ``benchmarks/results/BENCH_stream.json``.  Run standalone with
 """
 
 import json
-import statistics
 from pathlib import Path
 
 import pytest
+from paired import paired_rounds
 
 from repro.experiments import format_table, get_profile, prepare, run_one
 from repro.obs import DriftDetector, MetricsRegistry, QualityMonitor
 from repro.serve import Predictor
 from repro.stream import (
     StoreConfig,
-    compare_replay,
     events_from_checkins,
     popularity_shift_events,
     prequential_replay,
+    serialised_rebuild_baseline,
 )
 
 pytestmark = pytest.mark.slow
@@ -91,6 +86,58 @@ def _reset_cache(predictor) -> None:
         cache.clear()
 
 
+def replay_legs(predictor, events, batch_size=BATCH_SIZE, rounds=ROUNDS):
+    """Race the serialised rebuild baseline against the incremental replay.
+
+    The predictor's graph cache is cleared before every pass so neither
+    leg inherits the other's warm entries, and the shared embedding
+    tables are computed once before any timed loop (they are a pure
+    function of the weights), so the speedup measures the state
+    architecture.  The wide store bounds make the replay's bounded
+    history match the baseline's unbounded rebuild, so the full ranked
+    lists must agree.  Leg dicts and ``_reports`` come from the last
+    round, the one that keeps per-prediction results.
+    """
+    events = list(events)
+    store_config = StoreConfig(**_WIDE_STORE)
+    predictor.shared_state()
+
+    def baseline(index):
+        _reset_cache(predictor)
+        return serialised_rebuild_baseline(
+            predictor, events, gap_hours=store_config.gap_hours, keep_results=index == rounds - 1
+        )
+
+    def incremental(index):
+        _reset_cache(predictor)
+        report = prequential_replay(
+            predictor,
+            events,
+            store_config=store_config,
+            batch_size=batch_size,
+            keep_results=index == rounds - 1,
+        )
+        report.leg = "incremental"
+        return report
+
+    timed = paired_rounds({"baseline": baseline, "incremental": incremental}, rounds)
+    reports = timed.last
+    ranked = {
+        name: [record.result.ranked_pois for record in report.records]
+        for name, report in reports.items()
+    }
+    return {
+        "events": len(events),
+        "batch_size": batch_size,
+        "rounds": rounds,
+        "baseline": reports["baseline"].as_dict(),
+        "incremental": reports["incremental"].as_dict(),
+        "incremental_speedup": round(timed.ratio("baseline", "incremental"), 4),
+        "incremental_ranked_identical": ranked["incremental"] == ranked["baseline"],
+        "_reports": reports,
+    }
+
+
 def quality_overhead(predictor, events, rounds=ROUNDS):
     """Paired replay rounds with the quality monitor off vs on.
 
@@ -102,37 +149,33 @@ def quality_overhead(predictor, events, rounds=ROUNDS):
     minus one, the same discipline as the leg speedups.
     """
     predictor.shared_state()  # warm-up outside every timed pass
+    monitors = []
 
     def one_pass(with_quality):
-        _reset_cache(predictor)
-        quality = drift = None
-        if with_quality:
-            registry = MetricsRegistry()
-            quality = QualityMonitor(registry, top_k=20)
-            drift = DriftDetector(registry)
-        report = prequential_replay(
-            predictor,
-            events,
-            store_config=StoreConfig(**_WIDE_STORE),
-            batch_size=BATCH_SIZE,
-            quality=quality,
-            drift=drift,
-        )
-        return report, quality
+        def run(_round):
+            _reset_cache(predictor)
+            quality = drift = None
+            if with_quality:
+                registry = MetricsRegistry()
+                quality = QualityMonitor(registry, top_k=20)
+                drift = DriftDetector(registry)
+                monitors.append(quality)
+            return prequential_replay(
+                predictor,
+                events,
+                store_config=StoreConfig(**_WIDE_STORE),
+                batch_size=BATCH_SIZE,
+                quality=quality,
+                drift=drift,
+            )
+        return run
 
-    ratios = []
-    joins = 0
-    for _ in range(rounds):
-        off_report, _ = one_pass(False)
-        on_report, quality = one_pass(True)
-        ratios.append(on_report.seconds / off_report.seconds)
-        joins = sum(quality.summary()["joins"].values())
-    overhead = statistics.median(ratios) - 1.0
+    timed = paired_rounds({"off": one_pass(False), "on": one_pass(True)}, rounds)
     return {
         "rounds": rounds,
-        "joins": joins,
-        "paired_ratios": [round(r, 4) for r in ratios],
-        "overhead": round(overhead, 4),
+        "joins": sum(monitors[-1].summary()["joins"].values()),
+        "paired_ratios": [round(r, 4) for r in timed.ratios("on", "off")],
+        "overhead": round(timed.ratio("on", "off") - 1.0, 4),
         "gate": QUALITY_OVERHEAD_GATE,
     }
 
@@ -198,16 +241,10 @@ def run_bench(profile=None, save_report=None):
     profile = (profile or get_profile("quick")).smaller(0.5)
     data = prepare("nyc", profile)
     _, model = run_one("TSPN-RA", data, profile)
-    events = events_from_checkins(data.dataset.checkins)
+    events = events_from_checkins(data.dataset.checkins)[:MAX_EVENTS]
 
     predictor = Predictor(model, graph_cache_size=512)
-    comparison = compare_replay(
-        predictor,
-        events,
-        batch_size=BATCH_SIZE,
-        max_events=MAX_EVENTS,
-        rounds=ROUNDS,
-    )
+    comparison = replay_legs(predictor, events)
     reports = comparison.pop("_reports")
 
     rows = [
@@ -220,18 +257,14 @@ def run_bench(profile=None, save_report=None):
             f"{report.metrics['Recall@10']:.4f}",
             f"{report.metrics['MRR']:.4f}",
         ]
-        for report in (
-            reports["baseline"],
-            reports["stream"],
-            reports["incremental"],
-        )
+        for report in (reports["baseline"], reports["incremental"])
     ]
     table = format_table(
         ["Leg", "Events", "Predictions", "Seconds", "Events/s", "Recall@10", "MRR"],
         rows,
         title=(
             "Prequential streaming replay — incremental user state vs "
-            f"serialised full rebuild (NYC, stream {comparison['speedup']:.2f}x, "
+            f"serialised full rebuild (NYC, "
             f"incremental {comparison['incremental_speedup']:.2f}x, "
             f"median of {ROUNDS} paired rounds)"
         ),
@@ -243,15 +276,13 @@ def run_bench(profile=None, save_report=None):
         (RESULTS_DIR / "stream_replay.txt").write_text(table + "\n")
         print(table)
 
-    overhead = quality_overhead(predictor, events[:MAX_EVENTS])
+    overhead = quality_overhead(predictor, events)
     print(f"quality monitor overhead: {overhead['overhead'] * 100:+.2f}% "
           f"(median of {overhead['rounds']} paired rounds, "
           f"{overhead['joins']} joins; gate <= "
           f"{QUALITY_OVERHEAD_GATE * 100:.0f}%)")
 
-    drift = drift_scenario(
-        predictor, events[:MAX_EVENTS], data.dataset.num_pois
-    )
+    drift = drift_scenario(predictor, events, data.dataset.num_pois)
     print(f"drift scenario: shifted alert={drift['shifted']['alert']} "
           f"(PSI {drift['shifted']['psi_poi']:.2f}), control "
           f"alert={drift['control']['alert']} "
@@ -275,10 +306,8 @@ def run_bench(profile=None, save_report=None):
     # identical inputs + deterministic eval-mode inference => identical
     # ranked lists; a mismatch means the store mis-split a session (or
     # an incremental graph diverged from the rebuild)
-    assert comparison["ranked_lists_identical"], trajectory_point
     assert comparison["incremental_ranked_identical"], trajectory_point
-    assert comparison["speedup"] >= 2.0, trajectory_point
-    assert comparison["incremental_speedup"] >= 1.5, trajectory_point
+    assert comparison["incremental_speedup"] >= 2.0, trajectory_point
     # model-quality observability gates: watching must be (nearly)
     # free, and the drift detector must fire on the shift and only there
     assert overhead["overhead"] <= QUALITY_OVERHEAD_GATE, trajectory_point

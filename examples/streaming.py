@@ -20,7 +20,6 @@ Everything here also works from the shell::
     repro serve nyc --stateful --port 8151
     curl -s localhost:8151/checkin -d '{"user_id": 7, "poi_id": 3, "timestamp": 12.5}'
     curl -s localhost:8151/predict -d '{"user_id": 7, "k": 5}'
-    repro stream-replay nyc
 
 Runs in about a minute on a laptop CPU:
 
@@ -38,8 +37,9 @@ from repro.stream import (
     StoreConfig,
     StreamIngest,
     UserStateStore,
-    compare_replay,
     events_from_checkins,
+    prequential_replay,
+    serialised_rebuild_baseline,
 )
 from repro.train import TrainConfig, Trainer
 from repro.utils import spawn
@@ -124,30 +124,34 @@ def main() -> None:
                   f"rolled: {stats['stream']['sessions_rolled']}}}")
 
     # 3. Prequential replay: test-then-train over the time-ordered
-    #    stream, three deployments of one predictor — stateless rebuild
-    #    baseline, cached streaming state, and streaming state with
+    #    stream, two deployments of one predictor — the stateless
+    #    rebuild-per-request baseline, and stored streaming state with
     #    incremental O(session) graph updates.  Identical ranked lists,
     #    very different throughput.
-    comparison = compare_replay(
-        Predictor(model, graph_cache_size=512), events, max_events=400
+    tape = events[:400]
+    predictor = Predictor(model, graph_cache_size=512)
+    predictor.shared_state()  # embedding tables warmed outside both timings
+    baseline = serialised_rebuild_baseline(predictor, tape, keep_results=True)
+    predictor.graph_cache.clear()
+    replay = prequential_replay(
+        predictor,
+        tape,
+        store_config=StoreConfig(max_sessions=4096, max_session_visits=4096),
+        keep_results=True,
     )
-    comparison.pop("_reports")
-    stream, baseline = comparison["stream"], comparison["baseline"]
-    incremental = comparison["incremental"]
-    print(f"\nprequential replay over {comparison['events']} events "
-          f"({stream['predictions']} predictions):")
-    print(f"  incremental {incremental['events_per_second']:8.1f} events/s   "
-          f"({incremental['ingest']['graph_pushes']} graph pushes)")
-    print(f"  streaming   {stream['events_per_second']:8.1f} events/s   "
-          f"Recall@10 {stream['metrics']['Recall@10']:.4f}  "
-          f"MRR {stream['metrics']['MRR']:.4f}")
-    print(f"  baseline    {baseline['events_per_second']:8.1f} events/s   "
+    identical = [r.result.ranked_pois for r in replay.records] == [
+        r.result.ranked_pois for r in baseline.records
+    ]
+    print(f"\nprequential replay over {replay.events} events "
+          f"({replay.predictions} predictions):")
+    print(f"  incremental {replay.events_per_second:8.1f} events/s   "
+          f"Recall@10 {replay.metrics['Recall@10']:.4f}  "
+          f"MRR {replay.metrics['MRR']:.4f}  "
+          f"({replay.ingest_stats['graph_pushes']} graph pushes)")
+    print(f"  baseline    {baseline.events_per_second:8.1f} events/s   "
           f"(rebuild per request)")
-    print(f"  speedup {comparison['speedup']:.2f}x stream / "
-          f"{comparison['incremental_speedup']:.2f}x incremental, "
-          f"ranked lists identical: {comparison['ranked_lists_identical']} / "
-          f"{comparison['incremental_ranked_identical']}")
-
+    print(f"  speedup {baseline.seconds / replay.seconds:.2f}x, "
+          f"ranked lists identical: {identical}")
 
 if __name__ == "__main__":
     main()

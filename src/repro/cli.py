@@ -8,8 +8,6 @@ Commands
 ``train <preset>``         train TSPN-RA on a preset and report metrics
 ``predict <preset>``       serve sample predictions (train or load a checkpoint)
 ``serve <preset>``         run the async HTTP serving runtime
-``serve-bench <preset>``   cached vs uncached vs batched inference throughput
-``stream-replay <preset>`` prequential streaming evaluation vs rebuild baseline
 ``obs-report <a> <b>``     diff two /metrics scrapes into a rate/latency table
 """
 
@@ -144,47 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "stores per served prediction "
                                    "(default: 20)")
 
-    bench_parser = sub.add_parser(
-        "serve-bench", help="benchmark cached vs uncached vs batched throughput"
-    )
-    bench_parser.add_argument("preset")
-    bench_parser.add_argument("--model", default="TSPN-RA")
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument("--profile", default="quick", choices=("quick", "full"))
-    bench_parser.add_argument("--requests", type=int, default=100,
-                              help="number of test samples to serve per pass")
-    bench_parser.add_argument("--scale", type=float, default=None,
-                              help="override the profile's dataset scale")
-    bench_parser.add_argument("--batch-sizes", default="16", dest="batch_sizes",
-                              help="comma-separated batch sizes to sweep "
-                                   "(e.g. 4,16,32)")
-    bench_parser.add_argument("--output", default=None, metavar="PATH",
-                              help="write the machine-readable sweep (config + "
-                                   "per-batch-size results) to this JSON file "
-                                   "(default: benchmarks/results/BENCH_serve.json)")
-
-    replay_parser = sub.add_parser(
-        "stream-replay",
-        help="prequential streaming replay: ingest-then-predict vs the "
-             "serialised full-rebuild baseline",
-    )
-    replay_parser.add_argument("preset")
-    replay_parser.add_argument("--model", default="TSPN-RA")
-    replay_parser.add_argument("--seed", type=int, default=0)
-    replay_parser.add_argument("--profile", default="quick", choices=("quick", "full"))
-    replay_parser.add_argument("--scale", type=float, default=None,
-                               help="override the profile's dataset scale")
-    replay_parser.add_argument("--max-events", type=int, default=1500,
-                               dest="max_events",
-                               help="cap on replayed check-ins (0 = all)")
-    replay_parser.add_argument("--batch-size", type=int, default=32,
-                               dest="batch_size",
-                               help="prediction flush size of the streaming leg")
-    replay_parser.add_argument("--output", default=None, metavar="PATH",
-                               help="write the machine-readable comparison to "
-                                    "this JSON file (default: "
-                                    "benchmarks/results/BENCH_stream.json)")
-
     obs_parser = sub.add_parser(
         "obs-report",
         help="diff two /metrics scrapes: rates, latency percentiles, gauges",
@@ -202,10 +159,6 @@ def _trained_model(args):
     from .experiments import get_profile, prepare, run_one
 
     profile = get_profile(args.profile)
-    if getattr(args, "scale", None) is not None:
-        from dataclasses import replace
-
-        profile = replace(profile, dataset_scale=args.scale)
     data = prepare(args.preset, profile, seed=args.seed)
     _, model = run_one(args.model, data, profile, seed=args.seed)
     return model, data
@@ -474,96 +427,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if ingest is not None:
                 ingest.maybe_snapshot(force=True)
                 ingest.log.close()
-        return 0
-
-    if args.command == "serve-bench":
-        import json
-        from pathlib import Path
-
-        from .serve import compare_throughput
-
-        try:
-            batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
-        except ValueError:
-            print(f"serve-bench: bad --batch-sizes {args.batch_sizes!r}", file=sys.stderr)
-            return 2
-        if not batch_sizes or any(b < 1 for b in batch_sizes):
-            print("serve-bench: --batch-sizes needs positive integers", file=sys.stderr)
-            return 2
-
-        model, data = _trained_model(args)
-        test = data.splits.test[: args.requests]
-        results = []
-        for batch_size in batch_sizes:
-            report = compare_throughput(model, test, batch_size=batch_size)
-            print(f"\nbatch_size = {batch_size}")
-            for key, value in report.items():
-                print(f"{key:18s} {value:10.2f}")
-            results.append(
-                {"batch_size": batch_size,
-                 **{key: round(value, 4) for key, value in report.items()}}
-            )
-
-        output = Path(args.output) if args.output else (
-            Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-            / "BENCH_serve.json"
-        )
-        output.parent.mkdir(parents=True, exist_ok=True)
-        sweep = {
-            "bench": "serve",
-            "dataset": args.preset,
-            "model": args.model,
-            "profile": args.profile,
-            "seed": args.seed,
-            "scale": args.scale,
-            "requests": len(test),
-            "batch_sizes": batch_sizes,
-            "results": results,
-        }
-        output.write_text(json.dumps(sweep, indent=2) + "\n")
-        print(f"\n[serve sweep saved to {output}]")
-        return 0
-
-    if args.command == "stream-replay":
-        import json
-        from pathlib import Path
-
-        from .serve import Predictor
-        from .stream import compare_replay, events_from_checkins
-
-        if args.batch_size < 1:
-            print("stream-replay: --batch-size must be >= 1", file=sys.stderr)
-            return 2
-        model, data = _trained_model(args)
-        events = events_from_checkins(data.dataset.checkins)
-        max_events = None if args.max_events in (0, None) else args.max_events
-        predictor = Predictor(model, graph_cache_size=512)
-        comparison = compare_replay(
-            predictor, events, batch_size=args.batch_size, max_events=max_events
-        )
-        reports = comparison.pop("_reports")
-        for leg in ("baseline", "stream"):
-            report = reports[leg]
-            print(f"\n{leg}: {report.predictions} predictions over "
-                  f"{report.events} events in {report.seconds:.2f}s "
-                  f"({report.events_per_second:.1f} events/s)")
-            for name, value in report.metrics.items():
-                print(f"  {name:12s} {value:.4f}")
-        print(f"\nstreaming speedup over serialised rebuild: "
-              f"{comparison['speedup']:.2f}x  "
-              f"(ranked lists identical: {comparison['ranked_lists_identical']})")
-
-        output = Path(args.output) if args.output else (
-            Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-            / "BENCH_stream.json"
-        )
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(json.dumps(
-            {"bench": "stream_replay", "dataset": args.preset,
-             "model": args.model, "profile": args.profile, "seed": args.seed,
-             "scale": args.scale, **comparison},
-            indent=2) + "\n")
-        print(f"[stream replay comparison saved to {output}]")
         return 0
 
     if args.command == "obs-report":

@@ -30,9 +30,6 @@ Entry points
   ``/recommend``, ``/checkin``, ``/healthz``, ``/stats``,
   ``/reload``, ...); request/response codecs are
   :func:`sample_from_json` / :func:`result_to_json`;
-* :func:`compare_throughput` — uncached vs cached-per-sample vs
-  batched vs compiled serving microbench (the batched leg reports
-  latency percentiles);
 * :class:`PlanCache` — compiled inference plans (trace-once, graph-free
   replay) keyed ``(weights_version, dtype, shape bucket)``, shared
   pool-wide; ``Predictor(compile=False)`` / ``ServerConfig(compile=
@@ -53,7 +50,6 @@ from .plans import PlanCache, supports_plans
 from .predictor import (
     Predictor,
     ServeStats,
-    compare_throughput,
     interpolated_percentile,
 )
 from .protocol import (
@@ -92,7 +88,6 @@ __all__ = [
     "ServingBackend",
     "ServeStats",
     "ServerConfig",
-    "compare_throughput",
     "interpolated_percentile",
     "build_dataset_from_meta",
     "build_model_from_meta",

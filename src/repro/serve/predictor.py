@@ -362,157 +362,3 @@ class Predictor:
             history_key=serve_history_key(user_id, history),
         )
         return self.predict(sample).top_k(k)
-
-
-def compare_throughput(
-    model,
-    samples: Sequence[PredictionSample],
-    repeats: int = 1,
-    batch_size: int = 16,
-) -> Dict[str, float]:
-    """Samples/sec: uncached vs cached vs batched vs compiled.
-
-    Legs, slowest to fastest:
-
-    * ``uncached`` — the legacy research loop: ``compute_embeddings()``
-      recomputed per request;
-    * ``cached`` — shared embeddings computed once, then the per-sample
-      ``predict`` loop (what ``Predictor.predict_batch`` did before the
-      vectorised encode landed);
-    * ``batched`` — the :class:`Predictor` facade driving the model's
-      eager ``predict_batch`` in chunks of ``batch_size``, with
-      per-batch latencies recorded for p50/p95/p99;
-    * ``compiled`` / ``compiled_f32`` — the same facade with plan
-      compilation on; present only when the model supports plans.
-      ``compiled`` replays float64 plans — the configuration whose
-      ranked lists are bit-identical to eager — while ``compiled_f32``
-      is the *serving* configuration of the compiled path: float32
-      plans end-to-end (documented tolerance, half the bandwidth,
-      dtype-specialised replay kernels).  Each leg's first pass over
-      the samples warms the plan/knowledge caches (trace cost is
-      reported separately as ``{leg}_warmup_seconds``).
-
-    The batched and compiled legs are timed as full passes over the
-    sample list, *interleaved round-robin* across ``repeats`` rounds,
-    and each leg reports ``median(pass) * repeats`` as its seconds.
-    On a shared host a sequential layout folds clock drift into
-    whichever leg runs last; interleaving with medians cancels it, so
-    the reported speedups are leg ratios rather than noise.
-
-    ``compiled_speedup`` is the gate metric: the float32 compiled leg
-    (the serving configuration) vs the eager batched leg.
-    ``compiled_f64_speedup`` tracks the bit-identical float64 replay
-    against the same baseline.  Both are computed as the *median of
-    per-round ratios* — each round times the legs back to back, so a
-    contention burst inflates both passes of the pair and cancels in
-    their ratio, where a ratio of independent leg medians would not.
-
-    The model's prior train/eval mode is restored on exit — the same
-    guarantee ``Predictor.predict_batch`` and the evaluator document.
-    """
-    samples = list(samples)
-    was_training = getattr(model, "training", False)
-    model.eval()
-    try:
-        start = time.perf_counter()
-        with no_grad():
-            for _ in range(repeats):
-                for sample in samples:
-                    model.predict(sample, *model.compute_embeddings())
-        uncached_seconds = time.perf_counter() - start
-
-        with no_grad():
-            shared = model.compute_embeddings()
-            start = time.perf_counter()
-            for _ in range(repeats):
-                for sample in samples:
-                    model.predict(sample, *shared)
-            cached_seconds = time.perf_counter() - start
-
-        # graph_cache_size=None: a measurement facade must not swap the
-        # caller's model cache out from under it
-        predictor = Predictor(model, graph_cache_size=None, compile=False)
-        legs: List[Tuple[str, Predictor]] = [("batched", predictor)]
-        compiled: Dict[str, float] = {}
-        if supports_plans(model):
-            for leg, dtype in (("compiled", "float64"), ("compiled_f32", "float32")):
-                legs.append(
-                    (
-                        leg,
-                        Predictor(
-                            model, graph_cache_size=None, compile=True, plan_dtype=dtype
-                        ),
-                    )
-                )
-
-        def one_pass(runner: Predictor) -> None:
-            for lo in range(0, len(samples), batch_size):
-                runner.predict_batch(samples[lo : lo + batch_size])
-
-        # warmup pass per leg (traces plans, fills knowledge caches)
-        for leg, runner in legs:
-            start = time.perf_counter()
-            one_pass(runner)
-            if leg != "batched":
-                compiled[f"{leg}_warmup_seconds"] = time.perf_counter() - start
-
-        pass_times: Dict[str, List[float]] = {leg: [] for leg, _ in legs}
-        for _ in range(repeats):
-            for leg, runner in legs:
-                start = time.perf_counter()
-                one_pass(runner)
-                pass_times[leg].append(time.perf_counter() - start)
-
-        def _median(values: Sequence[float]) -> float:
-            ordered = sorted(values)
-            mid = len(ordered) // 2
-            if len(ordered) % 2:
-                return ordered[mid]
-            return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-        def leg_seconds(leg: str) -> float:
-            return _median(pass_times[leg]) * repeats
-
-        def paired_speedup(leg: str) -> float:
-            ratios = [
-                b / c
-                for b, c in zip(pass_times["batched"], pass_times[leg])
-                if c > 0
-            ]
-            return _median(ratios) if ratios else float("inf")
-
-        batched_seconds = leg_seconds("batched")
-        count = len(samples) * repeats
-        speedups: Dict[str, float] = {}
-        for leg, runner in legs[1:]:
-            seconds = leg_seconds(leg)
-            compiled[f"{leg}_seconds"] = seconds
-            compiled[f"{leg}_sps"] = count / seconds if seconds > 0 else float("inf")
-            speedups[leg] = paired_speedup(leg)
-            cache = runner.plan_cache
-            compiled[f"{leg}_plans"] = float(len(cache))
-            compiled[f"{leg}_plan_hits"] = float(cache.hits)
-            compiled[f"{leg}_plan_misses"] = float(cache.misses)
-    finally:
-        model.train(was_training)
-
-    report = {
-        "samples": float(count),
-        "uncached_seconds": uncached_seconds,
-        "cached_seconds": cached_seconds,
-        "batched_seconds": batched_seconds,
-        "uncached_sps": count / uncached_seconds if uncached_seconds > 0 else float("inf"),
-        "cached_sps": count / cached_seconds if cached_seconds > 0 else float("inf"),
-        "batched_sps": count / batched_seconds if batched_seconds > 0 else float("inf"),
-        "speedup": uncached_seconds / cached_seconds if cached_seconds > 0 else float("inf"),
-        "batched_speedup": (
-            cached_seconds / batched_seconds if batched_seconds > 0 else float("inf")
-        ),
-    }
-    report.update(compiled)
-    if report.get("compiled_seconds"):
-        report["compiled_f64_speedup"] = speedups["compiled"]
-    if report.get("compiled_f32_seconds"):
-        report["compiled_speedup"] = speedups["compiled_f32"]
-    report.update(predictor.stats.latency_percentiles())
-    return report

@@ -19,18 +19,20 @@ Entry points
 * :class:`StreamIngest` — the ingestion pipeline: appends events,
   rolls sessions, and retires stale per-user QR-P graph cache entries
   from the serving layer exactly once per history change;
-* :func:`prequential_replay` / :func:`serialised_rebuild_baseline` /
-  :func:`compare_replay` — test-then-train streaming evaluation of a
-  replayed dataset (Recall@K / MRR under streaming arrival, sustained
-  ingest+predict throughput) against the stateless full-rebuild cost
-  model;
+* :func:`prequential_replay` — test-then-train streaming evaluation
+  of a replayed dataset (Recall@K / MRR under streaming arrival,
+  sustained ingest+predict throughput);
+  :func:`serialised_rebuild_baseline` is the stateless full-rebuild
+  reference it must agree with, and :func:`offline_reference` the
+  offline protocol's results keyed the way replay records are;
 * :func:`stream_history_key` — the ``("stream", user, version)``
   graph-cache key that makes invalidation ride ``state_version`` the
   way shared embeddings ride ``weights_version``.
 
 ``repro serve --stateful`` wires a store into the HTTP runtime
 (``POST /checkin``, history-less ``POST /predict {"user_id": ...}``);
-``repro stream-replay`` runs the prequential benchmark.
+``benchmarks/bench_stream_replay.py`` races the replay against the
+rebuild baseline.
 """
 
 from .events import (
@@ -44,7 +46,6 @@ from .replay import (
     REPLAY_BATCH_SIZE,
     ReplayRecord,
     ReplayReport,
-    compare_replay,
     offline_reference,
     prequential_replay,
     serialised_rebuild_baseline,
@@ -69,7 +70,6 @@ __all__ = [
     "StreamIngest",
     "UserSnapshot",
     "UserStateStore",
-    "compare_replay",
     "event_from_json",
     "event_to_json",
     "events_from_checkins",

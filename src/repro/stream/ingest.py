@@ -105,20 +105,19 @@ class StreamIngest:
         if cache is not None:
             self._caches.append(cache)
 
-    def register_predictor(self, predictor, incremental: bool = True) -> None:
+    def register_predictor(self, predictor) -> None:
         """Register a :class:`~repro.serve.Predictor`'s graph cache.
 
         When the predictor's model exposes a compatible incremental
         QR-P maintainer (``stream_graph_maintainer``) and the store
         accepts it, this cache also joins the *push* set: each session
         rollover installs the freshly updated graph entry right after
-        retiring the stale one.  ``incremental=False`` opts a cache out
-        of pushes (invalidation still applies) — the rebuild-per-miss
-        baseline the benchmarks compare against.
+        retiring the stale one.  Otherwise only invalidation applies
+        and a retired entry is rebuilt on the next miss.
         """
         cache = getattr(predictor, "graph_cache", None)
         self.register_cache(cache)
-        if cache is None or not incremental:
+        if cache is None:
             return
         factory = getattr(predictor, "stream_graph_maintainer", None)
         maintainer = factory() if callable(factory) else None
@@ -138,6 +137,10 @@ class StreamIngest:
         fail ingestion.
         """
         self._observers.append(fn)
+
+    def remove_observer(self, fn) -> None:
+        """Unsubscribe an observer added with :meth:`add_observer`."""
+        self._observers.remove(fn)
 
     def ingest(self, event: CheckinEvent) -> AppendResult:
         """Append one event; retire the stale graph entry, push the new.

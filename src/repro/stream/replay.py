@@ -120,8 +120,6 @@ def prequential_replay(
     batch_size: int = REPLAY_BATCH_SIZE,
     ks: Iterable[int] = DEFAULT_KS,
     keep_results: bool = False,
-    max_events: Optional[int] = None,
-    incremental: bool = True,
     quality=None,
     drift=None,
 ) -> ReplayReport:
@@ -129,9 +127,9 @@ def prequential_replay(
 
     ``predictor`` is a :class:`~repro.serve.Predictor` (its QR-P graph
     cache, when present, is registered with the ingest pipeline so
-    session rollovers retire stale entries — and, by default, receive
-    the incrementally updated replacement graphs; ``incremental=False``
-    keeps the PR 5 rebuild-on-miss behaviour for comparison legs).
+    session rollovers retire stale entries and — when the model has an
+    incremental graph maintainer — receive the updated replacement
+    graphs; a model without one rebuilds on the next miss).
     Passing an existing ``ingest`` continues a warm store — e.g. the
     one a live :class:`~repro.serve.InferenceServer` owns — with
     whatever registrations it already carries.
@@ -140,19 +138,17 @@ def prequential_replay(
     prediction through its labelled-sample path — replay samples carry
     their prequential target, so each records and joins in one step —
     and ``drift`` (a :class:`~repro.obs.DriftDetector`) observes every
-    ingested event.  Both default off; the quality-overhead bench leg
-    and the drift scenario turn them on.
+    event this replay ingests — it is detached again on return, so a
+    caller-supplied ``ingest`` outlives the replay without it.  Both
+    default off; the quality-overhead bench leg and the drift scenario
+    turn them on.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if ingest is None:
         ingest = StreamIngest(UserStateStore(store_config or StoreConfig()))
-        ingest.register_predictor(predictor, incremental=incremental)
-    if drift is not None:
-        ingest.add_observer(drift.update)
+        ingest.register_predictor(predictor)
     events = list(events)
-    if max_events is not None:
-        events = events[:max_events]
     ks = tuple(ks)
 
     records: List[ReplayRecord] = []
@@ -177,21 +173,27 @@ def prequential_replay(
         pending.clear()
 
     store = ingest.store
-    start = time.perf_counter()
-    for event in events:
-        snapshot = store.get_snapshot(event.user_id)
-        if snapshot is not None and snapshot.continues_session(event):
-            # the test step: a sample built from the pre-ingest
-            # snapshot is immune to everything ingested after it, so
-            # flushing later in a batch cannot leak the label
-            pending.append(
-                snapshot.sample(target=Visit(poi_id=event.poi_id, timestamp=event.timestamp))
-            )
-        ingest.ingest(event)
-        if len(pending) >= batch_size:
-            flush()
-    flush()
-    seconds = time.perf_counter() - start
+    if drift is not None:
+        ingest.add_observer(drift.update)
+    try:
+        start = time.perf_counter()
+        for event in events:
+            snapshot = store.get_snapshot(event.user_id)
+            if snapshot is not None and snapshot.continues_session(event):
+                # the test step: a sample built from the pre-ingest
+                # snapshot is immune to everything ingested after it, so
+                # flushing later in a batch cannot leak the label
+                pending.append(
+                    snapshot.sample(target=Visit(poi_id=event.poi_id, timestamp=event.timestamp))
+                )
+            ingest.ingest(event)
+            if len(pending) >= batch_size:
+                flush()
+        flush()
+        seconds = time.perf_counter() - start
+    finally:
+        if drift is not None:
+            ingest.remove_observer(drift.update)
 
     return ReplayReport(
         leg="stream",
@@ -211,7 +213,6 @@ def serialised_rebuild_baseline(
     gap_hours: float = DEFAULT_GAP_HOURS,
     ks: Iterable[int] = DEFAULT_KS,
     keep_results: bool = False,
-    max_events: Optional[int] = None,
 ) -> ReplayReport:
     """The stateless deployment's cost model, measured honestly.
 
@@ -224,8 +225,6 @@ def serialised_rebuild_baseline(
     lists must agree — only the throughput differs.
     """
     events = list(events)
-    if max_events is not None:
-        events = events[:max_events]
     ks = tuple(ks)
 
     logs: Dict[int, List] = {}
@@ -288,121 +287,3 @@ def offline_reference(
         for sample, result in zip(chunk, predictor.predict_batch(chunk)):
             reference[(sample.user_id, len(sample.history), len(sample.prefix))] = result
     return reference
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def compare_replay(
-    predictor,
-    events: Sequence[CheckinEvent],
-    *,
-    batch_size: int = REPLAY_BATCH_SIZE,
-    store_config: Optional[StoreConfig] = None,
-    ks: Iterable[int] = DEFAULT_KS,
-    max_events: Optional[int] = None,
-    rounds: int = 1,
-) -> Dict:
-    """Run all three legs over one event stream and report the speedups.
-
-    Legs, over identical events with identical prediction decisions:
-
-    * ``baseline`` — the serialised stateless rebuild (PR 5's cost
-      model);
-    * ``stream`` — the stored-state path with rebuild-on-cache-miss
-      graphs (the PR 5 streaming configuration);
-    * ``incremental`` — the stored-state path with the O(session)
-      graph maintainer pushing updated entries on every rollover.
-
-    The predictor's graph cache is cleared before every leg pass so
-    none inherits another's warm entries, and the shared embedding
-    tables are computed once *before* any timed loop — all legs reuse
-    them identically (the tables are a pure function of the weights,
-    not of the stream), so the speedups measure the state
-    architecture, not who paid the one-time warm-up.  The default
-    store bounds are widened so the streaming legs' (bounded) history
-    matches the baseline's unbounded rebuild on any realistic replay —
-    all legs must produce identical full ranked candidate lists
-    (``ranked_lists_identical`` / ``incremental_ranked_identical``).
-
-    With ``rounds > 1`` the legs run *interleaved round-robin* and each
-    speedup is the **median of per-round paired ratios** — the serve
-    bench's idiom: a contention burst inflates both passes of a round
-    and cancels in their ratio, where a ratio of independent leg totals
-    would not.  The reported leg dicts come from the first round (the
-    one that keeps per-prediction results for the identity checks).
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if store_config is None:
-        store_config = StoreConfig(max_sessions=4096, max_session_visits=4096)
-    events = list(events)
-    if max_events is not None:
-        events = events[:max_events]
-
-    def reset_cache() -> None:
-        cache = getattr(predictor, "graph_cache", None)
-        if cache is not None:
-            cache.clear()
-
-    predictor.shared_state()  # warm the embedding tables for every leg
-
-    def run_leg(leg: str, keep: bool) -> ReplayReport:
-        reset_cache()
-        if leg == "baseline":
-            return serialised_rebuild_baseline(
-                predictor,
-                events,
-                gap_hours=store_config.gap_hours,
-                ks=ks,
-                keep_results=keep,
-            )
-        report = prequential_replay(
-            predictor,
-            events,
-            store_config=store_config,
-            batch_size=batch_size,
-            ks=ks,
-            keep_results=keep,
-            incremental=(leg == "incremental"),
-        )
-        report.leg = leg
-        return report
-
-    leg_names = ("baseline", "stream", "incremental")
-    first: Dict[str, ReplayReport] = {}
-    seconds: Dict[str, List[float]] = {name: [] for name in leg_names}
-    for round_index in range(rounds):
-        for name in leg_names:
-            report = run_leg(name, keep=(round_index == 0))
-            seconds[name].append(report.seconds)
-            if round_index == 0:
-                first[name] = report
-
-    def paired_ratio(slow: str, fast: str) -> float:
-        ratios = [s / f for s, f in zip(seconds[slow], seconds[fast]) if f > 0]
-        return _median(ratios) if ratios else float("inf")
-
-    ranked = {
-        name: [r.result.ranked_pois for r in first[name].records]
-        for name in leg_names
-    }
-    return {
-        "events": len(events),
-        "batch_size": batch_size,
-        "rounds": rounds,
-        "baseline": first["baseline"].as_dict(),
-        "stream": first["stream"].as_dict(),
-        "incremental": first["incremental"].as_dict(),
-        "speedup": round(paired_ratio("baseline", "stream"), 4),
-        "incremental_speedup": round(paired_ratio("baseline", "incremental"), 4),
-        "incremental_vs_stream": round(paired_ratio("stream", "incremental"), 4),
-        "ranked_lists_identical": ranked["stream"] == ranked["baseline"],
-        "incremental_ranked_identical": ranked["incremental"] == ranked["baseline"],
-        "_reports": dict(first),
-    }

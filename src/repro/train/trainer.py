@@ -111,7 +111,7 @@ class Trainer:
                 self.scheduler.step()
         finally:
             # restore the caller's train/eval mode (mirrors the
-            # evaluator and compare_throughput) instead of leaving the
+            # evaluator and Predictor.predict_batch) instead of leaving the
             # model unconditionally in train mode
             self.model.train(was_training)
         return history

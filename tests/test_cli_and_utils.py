@@ -25,16 +25,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_stream_replay_parses_and_validates(self):
-        from repro.cli import _build_parser
-
-        args = _build_parser().parse_args(
-            ["stream-replay", "nyc", "--max-events", "100", "--batch-size", "8"]
-        )
-        assert (args.command, args.preset) == ("stream-replay", "nyc")
-        assert (args.max_events, args.batch_size) == (100, 8)
-        assert main(["stream-replay", "nyc", "--batch-size", "0"]) == 2
-
     def test_serve_stateful_flags_parse(self):
         from repro.cli import _build_parser
 

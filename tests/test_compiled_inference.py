@@ -17,7 +17,7 @@ from repro.baselines import MarkovChain
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
 from repro.data.trajectory import PredictionSample, Trajectory, Visit
-from repro.serve import PlanCache, Predictor, compare_throughput, supports_plans
+from repro.serve import PlanCache, Predictor, supports_plans
 from repro.stream import events_from_checkins, prequential_replay
 from repro.utils import spawn
 
@@ -381,25 +381,3 @@ class TestStreamReplayIdentity:
         for c, e in zip(compiled.records, eager.records):
             assert c.rank == e.rank
             assert c.result.ranked_pois == e.result.ranked_pois
-
-
-# ----------------------------------------------------------------------
-# throughput microbench surface
-# ----------------------------------------------------------------------
-class TestCompareThroughput:
-    def test_compiled_legs_reported(self, tiny, model):
-        _, splits = tiny
-        report = compare_throughput(model, splits.test[:12], repeats=1, batch_size=8)
-        for leg in ("compiled", "compiled_f32"):
-            assert report[f"{leg}_sps"] > 0
-            assert report[f"{leg}_warmup_seconds"] >= 0
-            assert report[f"{leg}_plans"] >= 1
-        assert "compiled_speedup" in report
-
-    def test_baseline_report_has_no_compiled_legs(self, tiny):
-        _, splits = tiny
-        mc = MarkovChain(400)
-        mc.fit(splits.train[:50])
-        report = compare_throughput(mc, splits.test[:8], repeats=1, batch_size=8)
-        assert "compiled_sps" not in report
-        assert report["batched_sps"] > 0

@@ -15,7 +15,6 @@ from repro.serve import (
     Predictor,
     PredictorProtocol,
     PredictorResult,
-    compare_throughput,
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -407,26 +406,6 @@ class TestPredictor:
         rogue = NextPOIBaseline(len(dataset.city.pois), dim=16)
         with pytest.raises(ValueError, match="BASELINE_NAMES"):
             save_checkpoint(rogue, tmp_path / "rogue.npz", dataset=dataset)
-
-    def test_compare_throughput_reports(self, tiny, trained_tspnra):
-        _, splits, _ = tiny
-        report = compare_throughput(trained_tspnra, splits.test[:6])
-        assert report["samples"] == 6
-        assert report["cached_sps"] > 0 and report["uncached_sps"] > 0
-        assert report["batched_sps"] > 0
-        assert {"p50_ms", "p95_ms", "p99_ms"} <= set(report)
-
-    def test_compare_throughput_restores_mode(self, tiny, trained_tspnra):
-        _, splits, _ = tiny
-        trained_tspnra.train()
-        try:
-            compare_throughput(trained_tspnra, splits.test[:3])
-            assert trained_tspnra.training is True
-            trained_tspnra.eval()
-            compare_throughput(trained_tspnra, splits.test[:3])
-            assert trained_tspnra.training is False
-        finally:
-            trained_tspnra.eval()
 
     def test_recommend_cache_key_is_namespaced(self, tiny, trained_tspnra):
         """A live request must never alias a dataset (user, index) key."""

@@ -1011,9 +1011,3 @@ class TestServeCLI:
 
         assert main(["serve", "--checkpoint", "/nonexistent.npz"]) == 2
         assert "not found" in capsys.readouterr().err
-
-    def test_serve_bench_rejects_bad_batch_sizes(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve-bench", "nyc", "--batch-sizes", "4,zero"]) == 2
-        assert main(["serve-bench", "nyc", "--batch-sizes", "0"]) == 2

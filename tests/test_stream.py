@@ -14,6 +14,7 @@ from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples
 from repro.data.checkin import Checkin, CheckinDataset
 from repro.data.trajectory import DEFAULT_GAP_HOURS, Visit
+from repro.obs import DriftDetector, MetricsRegistry
 from repro.serve import (
     HttpFrontend,
     InferenceServer,
@@ -26,7 +27,6 @@ from repro.stream import (
     StoreConfig,
     StreamIngest,
     UserStateStore,
-    compare_replay,
     event_from_json,
     event_to_json,
     events_from_checkins,
@@ -609,10 +609,52 @@ class TestPrequentialReplay:
 
     def test_baseline_agrees_with_stream(self, replay_setup):
         predictor, events = replay_setup
-        comparison = compare_replay(predictor, events[:150], batch_size=16)
-        assert comparison["ranked_lists_identical"]
-        assert comparison["stream"]["predictions"] == comparison["baseline"]["predictions"]
-        assert comparison["stream"]["metrics"] == comparison["baseline"]["metrics"]
+        stream = prequential_replay(
+            predictor,
+            events[:150],
+            store_config=StoreConfig(max_sessions=4096, max_session_visits=4096),
+            batch_size=16,
+            keep_results=True,
+        )
+        baseline = serialised_rebuild_baseline(predictor, events[:150], keep_results=True)
+        assert stream.predictions == baseline.predictions > 0
+        assert [r.key for r in stream.records] == [r.key for r in baseline.records]
+        assert [r.result.ranked_pois for r in stream.records] == [
+            r.result.ranked_pois for r in baseline.records
+        ]
+        assert stream.metrics == baseline.metrics
+
+    def test_drift_observer_detached_after_replay(self):
+        """A replay's drift observer must not outlive it on a caller's ingest."""
+
+        class NoPredictions:  # distinct users: nothing continues a session
+            def predict_batch(self, samples):
+                raise AssertionError("no sample expected")
+
+        ingest = StreamIngest(UserStateStore(StoreConfig()))
+        drift = DriftDetector(MetricsRegistry())
+        before = ingest.stats()["observers"]
+        for user in (1, 2):
+            prequential_replay(NoPredictions(), [ev(user, 3, 0.0)], ingest=ingest, drift=drift)
+        ingest.ingest(ev(3, 3, 0.0))
+        assert ingest.stats()["observers"] == before
+        assert drift.summary()["events"] == 2  # the replayed events, once each
+
+    def test_drift_observer_detached_when_replay_raises(self):
+        class Failing:
+            def predict_batch(self, samples):
+                raise RuntimeError("predictor down")
+
+        ingest = StreamIngest(UserStateStore(StoreConfig()))
+        with pytest.raises(RuntimeError, match="predictor down"):
+            prequential_replay(
+                Failing(),
+                [ev(1, 3, 0.0), ev(1, 4, 1.0)],
+                ingest=ingest,
+                batch_size=1,
+                drift=DriftDetector(MetricsRegistry()),
+            )
+        assert ingest.stats()["observers"] == 0
 
     def test_no_label_leakage_prediction_precedes_ingest(self, model):
         """A replayed prediction must not see its own event: with a
