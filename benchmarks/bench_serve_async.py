@@ -45,11 +45,34 @@ import pytest
 
 from repro.experiments import format_table, get_profile, prepare, run_one
 from repro.obs import activate, maybe_trace
-from repro.serve import InferenceServer, ServerConfig, interpolated_percentile
+from repro.serve import InferenceServer, ServerConfig
 
 pytestmark = pytest.mark.slow
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def interpolated_percentile(sorted_values, p: float) -> float:
+    """Linearly interpolated percentile of an ascending-sorted sequence.
+
+    The standard linear method (numpy's default): the percentile falls
+    at fractional rank ``(n - 1) * p / 100`` and is interpolated between
+    the two bracketing order statistics.  Nearest-rank would quantise
+    p99 onto whichever single sample happens to sit at the top of a
+    small window; interpolation degrades smoothly instead.
+    """
+    n = len(sorted_values)
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return float(sorted_values[0])
+    rank = (n - 1) * p / 100.0
+    lo = int(rank)
+    if lo >= n - 1:
+        return float(sorted_values[-1])
+    frac = rank - lo
+    return float(sorted_values[lo] + (sorted_values[lo + 1] - sorted_values[lo]) * frac)
+
 
 CONFIGS = {
     "serial": ServerConfig(

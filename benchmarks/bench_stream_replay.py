@@ -41,6 +41,7 @@ emits ``benchmarks/results/BENCH_stream.json``.  Run standalone with
 (the CI ``serve-smoke`` job does exactly that and uploads the JSON).
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -64,7 +65,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 MAX_EVENTS = 1200
 BATCH_SIZE = 32
-ROUNDS = 3
+#: A replay pass is ~45 ms, and on a shared 2-core host one paired
+#: round's on/off ratio spreads by several percent; 3 rounds could not
+#: tell a real 2% quality-monitor cost from a 4% one, 21 can.
+ROUNDS = 21
 
 #: Acceptance gate on the quality monitor's replay overhead: the
 #: monitor-on leg may cost at most 3% over the identical monitor-off
@@ -142,10 +146,11 @@ def quality_overhead(predictor, events, rounds=ROUNDS):
     """Paired replay rounds with the quality monitor off vs on.
 
     Both passes of a round replay the identical tape through the
-    incremental leg; the *on* pass additionally records every
-    prediction into a :class:`QualityMonitor` (labelled-sample path —
-    replay targets join immediately) and feeds every ingested event to
-    a :class:`DriftDetector`.  The overhead is the median paired ratio
+    incremental leg; the *on* pass attaches a :class:`QualityMonitor`
+    as ``predictor.quality`` — the one record site, so every prediction
+    is recorded once, through the labelled-sample path (replay targets
+    join immediately) — and feeds every ingested event to a
+    :class:`DriftDetector`.  The overhead is the median paired ratio
     minus one, the same discipline as the leg speedups.
     """
     predictor.shared_state()  # warm-up outside every timed pass
@@ -154,20 +159,27 @@ def quality_overhead(predictor, events, rounds=ROUNDS):
     def one_pass(with_quality):
         def run(_round):
             _reset_cache(predictor)
-            quality = drift = None
+            drift = None
             if with_quality:
                 registry = MetricsRegistry()
-                quality = QualityMonitor(registry, top_k=20)
+                predictor.quality = QualityMonitor(registry, top_k=20)
                 drift = DriftDetector(registry)
-                monitors.append(quality)
-            return prequential_replay(
-                predictor,
-                events,
-                store_config=StoreConfig(**_WIDE_STORE),
-                batch_size=BATCH_SIZE,
-                quality=quality,
-                drift=drift,
-            )
+                monitors.append(predictor.quality)
+            # both passes enter the timed replay with the collector
+            # drained: the on-pass's setup (a fresh registry, whose gauge
+            # callbacks form reference cycles) is not collected inside
+            # its timed loop
+            gc.collect()
+            try:
+                return prequential_replay(
+                    predictor,
+                    events,
+                    store_config=StoreConfig(**_WIDE_STORE),
+                    batch_size=BATCH_SIZE,
+                    drift=drift,
+                )
+            finally:
+                predictor.quality = None
         return run
 
     timed = paired_rounds({"off": one_pass(False), "on": one_pass(True)}, rounds)

@@ -26,6 +26,7 @@ from ..obs import (
     MetricsRegistry,
     SlowRing,
     maybe_trace,
+    merge_reports,
     render_prometheus,
 )
 from .ring import HashRing
@@ -474,99 +475,29 @@ class ClusterRouter:
     def quality(self) -> Dict:
         """Cluster-wide model-quality report (``GET /quality``).
 
-        Each shard's prequential summary comes over the control pipe;
-        the cluster section merges the **raw windowed sums** (joins,
-        hits, MRR/NDCG numerators) by addition and recomputes the
-        ratios from the sums — averaging per-shard ratios would weight
-        an idle shard equal to a busy one.  A shard that cannot answer
-        contributes a ``status: down`` entry; the scrape never fails
-        because a shard is mid-restart.
+        Each shard's prequential summary comes over the control pipe
+        and the cluster section is their :func:`~repro.obs.merge_reports`
+        sum.  A shard that cannot answer contributes a ``status: down``
+        entry; the scrape never fails because a shard is mid-restart.
         """
         shards: List[Dict] = []
         reports: List[Dict] = []
         for shard in self.shards:
             index = shard.spec.shard_index
             try:
-                reply = shard.control_quality(
-                    timeout=self.config.heartbeat_timeout_s
-                )
+                reply = shard.control_quality(timeout=self.config.heartbeat_timeout_s)
             except ShardError as error:
-                shards.append(
-                    {"shard": index, "status": "down", "error": str(error)}
-                )
-                continue
+                reply = {"ok": False, "error": str(error)}
             if not reply.get("ok"):
-                shards.append(
-                    {"shard": index, "status": "down", "error": reply.get("error")}
-                )
+                shards.append({"shard": index, "status": "down", "error": reply.get("error")})
                 continue
             report = reply.get("quality", {})
             shards.append({"shard": index, "status": "ok", "quality": report})
             if report.get("enabled"):
                 reports.append(report)
-
         if not reports:
             return {"enabled": False, "shards": shards}
-
-        ks = sorted(
-            {str(k) for r in reports for k in r.get("ks", [])}, key=int
-        )
-        strata_names = sorted(
-            {s for r in reports for s in r.get("strata", {})}
-        )
-        cluster: Dict = {
-            "pending": sum(r.get("pending", 0) for r in reports),
-            "expired": sum(r.get("expired", 0) for r in reports),
-            "replaced": sum(r.get("replaced", 0) for r in reports),
-            "evicted": sum(r.get("evicted", 0) for r in reports),
-            "predictions": {},
-            "joins": {},
-            "strata": {},
-        }
-        for key in ("predictions", "joins"):
-            merged: Dict[str, int] = {}
-            for r in reports:
-                for s, v in r.get(key, {}).items():
-                    merged[s] = merged.get(s, 0) + int(v)
-            cluster[key] = merged
-        for s in strata_names:
-            windows = [
-                r["strata"][s]["window"] for r in reports if s in r.get("strata", {})
-            ]
-            joins = sum(w.get("joins", 0) for w in windows)
-            mrr_sum = sum(w.get("mrr_sum", 0.0) for w in windows)
-            hits = {
-                k: sum(w.get("hits", {}).get(k, 0) for w in windows) for k in ks
-            }
-            ndcg_sum = {
-                k: sum(w.get("ndcg_sum", {}).get(k, 0.0) for w in windows)
-                for k in ks
-            }
-            cluster["strata"][s] = {
-                "window": {
-                    "joins": joins,
-                    "hits": hits,
-                    "mrr_sum": mrr_sum,
-                    "ndcg_sum": ndcg_sum,
-                },
-                "recall": {k: (v / joins if joins else 0.0) for k, v in hits.items()},
-                "mrr": mrr_sum / joins if joins else 0.0,
-                "ndcg": {
-                    k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()
-                },
-            }
-        store_strata: Dict[str, int] = {}
-        for r in reports:
-            for s, v in r.get("store_strata", {}).items():
-                store_strata[s] = store_strata.get(s, 0) + int(v)
-        if store_strata:
-            cluster["store_strata"] = store_strata
-        # drift stays per-shard (each shard sees a different event slice,
-        # so PSI merges make no sense); the cluster alert is an any-of
-        cluster["drift_alert"] = any(
-            r.get("drift", {}).get("alert", False) for r in reports
-        )
-        return {"enabled": True, "shards": shards, "cluster": cluster}
+        return {"enabled": True, "shards": shards, "cluster": merge_reports(reports)}
 
     quality_report = quality
 

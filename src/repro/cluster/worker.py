@@ -295,24 +295,12 @@ class _WorkerRuntime:
         }
 
     def _op_quality(self, request: Dict) -> Dict:
-        """The shard's prequential-quality/drift report (control pipe).
-
-        The per-stratum blocks carry raw windowed sums, so the router
-        merges shard reports by addition and recomputes cluster-wide
-        ratios — never averaging per-shard ratios.
-        """
+        """The shard's prequential-quality/drift report (control pipe);
+        the router sums shard reports with :func:`~repro.obs.merge_reports`."""
         return {
             "ok": True,
             "shard": self.spec.shard_index,
             "quality": self.server.quality_report(),
-        }
-
-    def _op_slow(self, request: Dict) -> Dict:
-        """The shard's own slow-trace exemplars (local sampling only)."""
-        return {
-            "ok": True,
-            "shard": self.spec.shard_index,
-            "slow": self.server.slow_requests(request.get("n", 10)),
         }
 
     def _op_ping(self, request: Dict) -> Dict:
@@ -527,10 +515,6 @@ class ShardHandle:
     def control_quality(self, timeout: float = 30.0) -> Dict:
         """Quality/drift report over the control pipe (/quality merge)."""
         return self._roundtrip("control", {"op": "quality"}, timeout)
-
-    def control_slow(self, n: int = 10, timeout: float = 30.0) -> Dict:
-        """The shard's slow-trace exemplars over the control pipe."""
-        return self._roundtrip("control", {"op": "slow", "n": n}, timeout)
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Graceful stop: drain, final snapshot, exit."""

@@ -25,7 +25,6 @@ from .metrics import (
     WindowedCounter,
     get_registry,
     merge_histogram_snapshots,
-    merge_windowed_snapshots,
     snapshot_percentile,
 )
 from .tracing import (
@@ -39,7 +38,7 @@ from .tracing import (
     span_creation_count,
 )
 from .expo import diff_scrapes, format_report, parse_prometheus, render_prometheus
-from .quality import STRATA, QualityMonitor, cold_start_stratum
+from .quality import KS, STRATA, QualityMonitor, cold_start_stratum, merge_reports
 from .drift import DriftDetector
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "merge_histogram_snapshots",
-    "merge_windowed_snapshots",
     "snapshot_percentile",
     "SlowRing",
     "Span",
@@ -67,6 +65,8 @@ __all__ = [
     "render_prometheus",
     "QualityMonitor",
     "cold_start_stratum",
+    "merge_reports",
+    "KS",
     "STRATA",
     "DriftDetector",
 ]

@@ -31,7 +31,7 @@ import math
 import threading
 from collections import Counter as TallyCounter
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 
@@ -193,6 +193,25 @@ class DriftDetector:
             self._sketches["poi"].update(poi)
             if tile is not None:
                 self._sketches["tile"].update(tile)
+
+    def update_many(self, events: Iterable) -> None:
+        """Feed check-ins in order as :meth:`update` would, under one lock."""
+        keys = {"poi": [int(event.poi_id) for event in events]}
+        if self._tile_of is not None:
+            keys["tile"] = [int(self._tile_of(poi)) for poi in keys["poi"]]
+        count = len(keys["poi"])
+        self._events.inc(count)
+        with self._lock:
+            # the first ``reference`` events tally; the rest slide through
+            head = 0 if self._frozen else min(count, self.reference - self._seen)
+            self._seen += count
+            for dist, values in keys.items():
+                self._sketches[dist].ref_tally.update(values[:head])
+            if not self._frozen and self._seen >= self.reference:
+                self._freeze_locked()
+            for dist, values in keys.items():
+                for key in values[head:]:
+                    self._sketches[dist].update(key)
 
     def freeze_reference(self) -> None:
         """Freeze the reference early (before ``reference`` events)."""

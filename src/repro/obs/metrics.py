@@ -43,7 +43,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "get_registry",
     "merge_histogram_snapshots",
-    "merge_windowed_snapshots",
     "snapshot_percentile",
 ]
 
@@ -257,16 +256,15 @@ class WindowedCounter(_Instrument):
     ``int(now // slot_seconds)`` — cells older than the window are
     pruned lazily on write/read, so memory is O(slots) under any load.
 
-    Absolute slot keys are the merge discipline: two processes slicing
-    wall-clock time with the same ``window_seconds``/``slots`` produce
-    cells that align by key, so per-shard snapshots sum cell-wise into
-    one cluster-wide window (:func:`merge_windowed_snapshots`) exactly
-    like histograms sum bucket-wise.  Exposed as a *gauge* (the value
-    is a point-in-time windowed sum, not a monotone total).
+    Absolute slot keys make two processes slicing wall-clock time with
+    the same ``window_seconds``/``slots`` cover the same window, so
+    per-shard windowed sums add into one cluster-wide figure (the
+    cluster merges quality at report level, see
+    :func:`repro.obs.quality.merge_reports`).  Exposed as a *gauge*
+    (the value is a point-in-time windowed sum, not a monotone total).
 
     ``clock`` is injectable for tests; it must return wall-clock
-    seconds (``time.time``), not a per-process monotonic origin,
-    or cross-process alignment breaks.
+    seconds (``time.time``), not a per-process monotonic origin.
     """
 
     kind = "gauge"
@@ -308,8 +306,8 @@ class WindowedCounter(_Instrument):
     def inc_at(self, slot: int, amount: float = 1.0) -> None:
         """Add into an already-computed slot (hot-path batching).
 
-        A caller updating several aligned windowed counters for one
-        logical event (a quality join touches up to eight) computes
+        A caller updating several aligned windowed counters at once (a
+        quality batch touches up to eight per stratum) computes
         ``_now_slot()`` once and fans it out, instead of paying a
         clock read per instrument.  Only sound between counters that
         share ``window_seconds``/``slots``/``clock``.
@@ -328,40 +326,7 @@ class WindowedCounter(_Instrument):
             return sum(self._cells.values())
 
     def snapshot(self) -> Dict:
-        slot = self._now_slot()
-        with self._lock:
-            self._prune(slot)
-            return {
-                **self._snapshot_head(),
-                "value": sum(self._cells.values()),
-                "window_seconds": self.window_seconds,
-                "slot_seconds": self.slot_seconds,
-                # JSON object keys are strings; absolute indices survive
-                # the round-trip as text and re-align on merge.
-                "cells": {str(s): v for s, v in self._cells.items()},
-            }
-
-
-def merge_windowed_snapshots(snapshots: Sequence[Dict]) -> Dict:
-    """Sum windowed-counter snapshots cell-wise by absolute slot index.
-
-    All snapshots must share ``window_seconds``/``slot_seconds`` (same
-    wall-clock slicing); shards satisfy this by construction since the
-    router hands every worker the same quality-window config.
-    """
-    if not snapshots:
-        raise ValueError("nothing to merge")
-    base = snapshots[0]
-    cells: Dict[str, float] = dict(base.get("cells", {}))
-    for snap in snapshots[1:]:
-        if (
-            snap.get("window_seconds") != base.get("window_seconds")
-            or snap.get("slot_seconds") != base.get("slot_seconds")
-        ):
-            raise ValueError("cannot merge windows with different slicing")
-        for slot, amount in snap.get("cells", {}).items():
-            cells[slot] = cells.get(slot, 0.0) + amount
-    return {**base, "cells": cells, "value": sum(cells.values())}
+        return {**self._snapshot_head(), "value": self.value}
 
 
 def _bucket_percentile(bounds, counts, total, lo_seen, hi_seen, p) -> float:

@@ -5,28 +5,33 @@ user we just served *will check in somewhere*, and that check-in is the
 delayed label for the ranked list we returned.  :class:`QualityMonitor`
 closes that loop on the serving path itself:
 
-* :meth:`record` captures each served prediction — user, top-K POI ids,
-  ``history_version``, cold-start stratum — in a **bounded pending
-  ring** (an ordered dict in serve order, FIFO-evicted at
-  ``max_pending``).  Predictions that already carry a ground-truth
-  target (prequential replay tapes, evaluation traffic) skip the ring
-  and join immediately: the label is in hand, waiting for an ingest
-  event that replay has already applied would join never or twice.
-* :meth:`observe_checkin` runs as a :class:`~repro.stream.ingest.StreamIngest`
-  observer.  The user's next check-in joins the pending entry
-  **exactly once** (``pop``; a second check-in finds nothing).  If the
-  store rolled the session (the 72h gap rule, or a forced roll), the
+* :meth:`~QualityMonitor.record_batch` captures each served batch — per
+  prediction the user, top-K POI ids and cold-start stratum.
+  Unlabelled predictions enter a **bounded pending ring** (an ordered
+  dict in serve order, FIFO-evicted at ``max_pending``).  Predictions
+  that already carry a ground-truth target (prequential replay tapes,
+  evaluation traffic) skip the ring and join immediately: the label is
+  in hand, waiting for an ingest event that replay has already applied
+  would join never or twice.  A batch costs one clock read, one
+  windowed increment per (stratum, series), one counter increment per
+  stratum and one ring lock, whatever its size.
+* :meth:`~QualityMonitor.observe_checkin` runs as a
+  :class:`~repro.stream.ingest.StreamIngest` observer.  The user's next
+  check-in joins the pending entry **exactly once** (``pop``; a second
+  check-in finds nothing), accounted as a batch of one.  If the store
+  rolled the session (the 72h gap rule, or a forced roll), the
   prediction's context is stale — the entry *expires*, no join.  Each
   event also advances an event-time watermark that lazily sweeps
   pending entries whose serve-time context is older than ``gap_hours``,
   so unlabelled predictions cannot pin memory even if their users never
   return (the ring bound is the hard backstop).
-* joins update sliding-window Recall@K / MRR / NDCG estimators,
-  stratified by **cold-start bucket** — ``"0"``, ``"1"``, ``"2+"``
-  prior sessions — as :class:`~repro.obs.metrics.WindowedCounter`
-  instruments in a shared :class:`MetricsRegistry`, so the numbers ride
-  the existing Prometheus exposition and merge across shard processes
-  by the same snapshot discipline as histograms.
+* joins update sliding-window Recall@K / MRR / NDCG estimators at the
+  fixed cut-offs :data:`KS`, stratified by **cold-start bucket** —
+  ``"0"``, ``"1"``, ``"2+"`` prior sessions — as
+  :class:`~repro.obs.metrics.WindowedCounter` instruments in a shared
+  :class:`MetricsRegistry`, so the numbers ride the existing Prometheus
+  exposition.  Every monitor reports the same cut-offs, so per-shard
+  summaries merge by addition (:func:`merge_reports`).
 
 Rank accounting (mirrored by the tests, exact by construction): the
 label's rank is its 1-based position in the *stored top-K* list, a miss
@@ -47,13 +52,30 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .metrics import MetricsRegistry, WindowedCounter
+from .metrics import MetricsRegistry
 
-__all__ = ["QualityMonitor", "cold_start_stratum", "STRATA"]
+__all__ = ["QualityMonitor", "cold_start_stratum", "merge_reports", "KS", "STRATA"]
 
 STRATA: Tuple[str, ...] = ("0", "1", "2+")
+
+#: Recall@k / NDCG@k cut-offs; every monitor, so every shard, reports these.
+KS: Tuple[int, ...] = (5, 10, 20)
+
+#: Cells per estimator window (the window slides in ``window / SLOTS`` steps).
+SLOTS = 60
+
+#: Windowed series per stratum, in accounting-row order: joins, the
+#: reciprocal-rank sum, then hits and NDCG gain sums at each cut-off.
+_SERIES: Tuple[Tuple[str, str, Optional[int]], ...] = (
+    ("repro_quality_window_joins", "Joins in the window", None),
+    ("repro_quality_window_mrr_sum", "Sum of reciprocal ranks in the window", None),
+    *(("repro_quality_window_hits", "Joins whose label ranked within k", k) for k in KS),
+    *(("repro_quality_window_ndcg_sum", "Sum of NDCG@k gains in the window", k) for k in KS),
+)
+_HITS = 2
+_NDCG = _HITS + len(KS)
 
 
 def cold_start_stratum(num_prior_sessions: int) -> str:
@@ -65,23 +87,90 @@ def cold_start_stratum(num_prior_sessions: int) -> str:
     return "2+"
 
 
-class _Pending:
+def _rank(ranked: List[int], label: int, top_k: int) -> int:
+    """1-based position of ``label`` within the first ``top_k`` of ``ranked``; 0 on a miss."""
+    try:
+        return ranked.index(label, 0, top_k) + 1
+    except ValueError:
+        return 0
+
+
+def _strata_report(rows: Dict[str, Sequence[float]]) -> Dict:
+    """Per-stratum report blocks from raw window rows, plus their ``"all"`` sum.
+
+    Each block carries the raw windowed sums beside the ratios, so
+    reports merge by addition; ratios are always quotients of sums.
+    """
+    rows = {**rows, "all": [sum(col) for col in zip(*(rows[s] for s in STRATA))]}
+    blocks: Dict[str, Dict] = {}
+    for stratum, row in rows.items():
+        joins = row[0]
+        hits = {str(k): row[_HITS + i] for i, k in enumerate(KS)}
+        ndcg_sum = {str(k): row[_NDCG + i] for i, k in enumerate(KS)}
+        blocks[stratum] = {
+            "window": {"joins": joins, "hits": hits, "mrr_sum": row[1], "ndcg_sum": ndcg_sum},
+            "recall": {k: (v / joins if joins else 0.0) for k, v in hits.items()},
+            "mrr": row[1] / joins if joins else 0.0,
+            "ndcg": {k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()},
+        }
+    return blocks
+
+
+def merge_reports(reports: Sequence[Dict]) -> Dict:
+    """Sum :meth:`QualityMonitor.summary` reports (one per shard) into one.
+
+    Counts and raw window sums add and the ratios are recomputed from
+    the sums — a mean of per-shard ratios would weight an idle shard
+    equal to a busy one.  Drift stays per shard (each sees a different
+    event slice, so PSI does not merge); ``drift_alert`` is an any-of.
+    """
+
+    def summed(key: str) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for report in reports:
+            for name, value in report.get(key, {}).items():
+                out[name] = out.get(name, 0) + int(value)
+        return out
+
+    def row(window: Dict) -> List[float]:
+        return [
+            window["joins"],
+            window["mrr_sum"],
+            *(window["hits"][str(k)] for k in KS),
+            *(window["ndcg_sum"][str(k)] for k in KS),
+        ]
+
+    merged: Dict = {
+        key: sum(r[key] for r in reports)
+        for key in ("pending", "expired", "replaced", "evicted")
+    }
+    merged["predictions"] = summed("predictions")
+    merged["joins"] = summed("joins")
+    merged["strata"] = _strata_report(
+        {
+            s: [sum(col) for col in zip(*(row(r["strata"][s]["window"]) for r in reports))]
+            for s in STRATA
+        }
+    )
+    store_strata = summed("store_strata")
+    if store_strata:
+        merged["store_strata"] = store_strata
+    merged["drift_alert"] = any(r.get("drift", {}).get("alert", False) for r in reports)
+    return merged
+
+
+class _Pending(NamedTuple):
     """One unlabelled served prediction awaiting its user's next check-in."""
 
-    __slots__ = ("user_id", "top_pois", "stratum", "history_version", "last_timestamp")
-
-    def __init__(self, user_id, top_pois, stratum, history_version, last_timestamp):
-        self.user_id = user_id
-        self.top_pois = top_pois
-        self.stratum = stratum
-        self.history_version = history_version
-        self.last_timestamp = last_timestamp
+    stratum: str
+    top_pois: List[int]
+    last_timestamp: float
 
 
 class QualityMonitor:
     """Prequential Recall@K/MRR/NDCG over a sliding window, by stratum.
 
-    Thread-safe: server workers ``record`` concurrently while the
+    Thread-safe: server workers ``record_batch`` concurrently while the
     ingest thread joins.  All estimator state lives in registry
     instruments; the monitor itself only owns the pending ring.
     """
@@ -92,11 +181,8 @@ class QualityMonitor:
         *,
         window_seconds: float = 3600.0,
         top_k: int = 20,
-        ks: Sequence[int] = (5, 10, 20),
         max_pending: int = 4096,
         gap_hours: float = 72.0,
-        slots: int = 60,
-        clock=None,
     ):
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
@@ -104,12 +190,9 @@ class QualityMonitor:
             raise ValueError("max_pending must be >= 1")
         if gap_hours <= 0:
             raise ValueError("gap_hours must be positive")
-        self.ks = tuple(sorted({int(k) for k in ks}))
-        if not self.ks or self.ks[0] < 1:
-            raise ValueError("ks must be positive integers")
-        # storing fewer ids than the largest requested cutoff would
-        # silently undercount hits@k; widen the stored list instead
-        self.top_k = max(int(top_k), self.ks[-1])
+        # storing fewer ids than the largest cut-off would silently
+        # undercount hits@k; widen the stored list instead
+        self.top_k = max(int(top_k), KS[-1])
         self.window_seconds = float(window_seconds)
         self.max_pending = int(max_pending)
         # event timestamps are in hours everywhere in this codebase
@@ -164,158 +247,116 @@ class QualityMonitor:
             "repro_quality_topk", "Ranked-list depth stored per prediction"
         ).set(float(self.top_k))
 
-        def _windowed(name: str, help: str, labels: Dict[str, str]) -> WindowedCounter:
-            return reg.windowed(
-                name,
-                help,
-                labels,
-                window_seconds=self.window_seconds,
-                slots=slots,
-                clock=clock,
-            )
-
-        self._w_joins = {
-            s: _windowed(
-                "repro_quality_window_joins", "Joins in the window", {"stratum": s}
-            )
+        # a join adds its rank's row (index 0: a miss) to the window
+        self._rank_rows = [(1, 0.0) + (0,) * len(KS) + (0.0,) * len(KS)] + [
+            (1, 1.0 / rank)
+            + tuple(int(rank <= k) for k in KS)
+            + tuple(1.0 / math.log2(rank + 1) if rank <= k else 0.0 for k in KS)
+            for rank in range(1, self.top_k + 1)
+        ]
+        # one windowed instrument per (stratum, series), in row order
+        self._window = {
+            s: [
+                reg.windowed(
+                    name,
+                    help,
+                    {"stratum": s} if k is None else {"stratum": s, "k": str(k)},
+                    window_seconds=self.window_seconds,
+                    slots=SLOTS,
+                )
+                for name, help, k in _SERIES
+            ]
             for s in STRATA
-        }
-        self._w_mrr = {
-            s: _windowed(
-                "repro_quality_window_mrr_sum",
-                "Sum of reciprocal ranks in the window",
-                {"stratum": s},
-            )
-            for s in STRATA
-        }
-        self._w_hits = {
-            (s, k): _windowed(
-                "repro_quality_window_hits",
-                "Joins whose label ranked within k",
-                {"stratum": s, "k": str(k)},
-            )
-            for s in STRATA
-            for k in self.ks
-        }
-        self._w_ndcg = {
-            (s, k): _windowed(
-                "repro_quality_window_ndcg_sum",
-                "Sum of NDCG@k gains in the window",
-                {"stratum": s, "k": str(k)},
-            )
-            for s in STRATA
-            for k in self.ks
         }
 
         # ratio gauges are callbacks over the windowed sums: the hot
         # path pays nothing, and "all" is the strata sum at read time
-        def _ratio(num, den):
+        def ratio(series: int, group: Tuple[str, ...]):
             def read():
-                j = den()
-                return num() / j if j else 0.0
+                joins = sum(self._window[s][0].value for s in group)
+                if not joins:
+                    return 0.0
+                return sum(self._window[s][series].value for s in group) / joins
 
             return read
 
         for s in STRATA + ("all",):
-            strata = STRATA if s == "all" else (s,)
-
-            def joins_of(strata=strata):
-                return sum(self._w_joins[x].value for x in strata)
-
+            group = STRATA if s == "all" else (s,)
             reg.gauge(
                 "repro_quality_mrr",
                 "Windowed mean reciprocal rank",
                 {"stratum": s},
-                fn=_ratio(
-                    lambda strata=strata: sum(self._w_mrr[x].value for x in strata),
-                    joins_of,
-                ),
+                fn=ratio(1, group),
             )
-            for k in self.ks:
-                reg.gauge(
-                    "repro_quality_recall",
-                    "Windowed Recall@k",
-                    {"stratum": s, "k": str(k)},
-                    fn=_ratio(
-                        lambda strata=strata, k=k: sum(
-                            self._w_hits[(x, k)].value for x in strata
-                        ),
-                        joins_of,
-                    ),
-                )
-                reg.gauge(
-                    "repro_quality_ndcg",
-                    "Windowed NDCG@k",
-                    {"stratum": s, "k": str(k)},
-                    fn=_ratio(
-                        lambda strata=strata, k=k: sum(
-                            self._w_ndcg[(x, k)].value for x in strata
-                        ),
-                        joins_of,
-                    ),
-                )
+            for i, k in enumerate(KS):
+                labels = {"stratum": s, "k": str(k)}
+                recall, ndcg = ratio(_HITS + i, group), ratio(_NDCG + i, group)
+                reg.gauge("repro_quality_recall", "Windowed Recall@k", labels, fn=recall)
+                reg.gauge("repro_quality_ndcg", "Windowed NDCG@k", labels, fn=ndcg)
 
     # ------------------------------------------------------------------
     # serve side
     # ------------------------------------------------------------------
-    def record(self, sample, result) -> Optional[str]:
-        """Record one served prediction; returns the path it took.
+    def record_batch(self, samples: Sequence, results: Sequence) -> List[Optional[str]]:
+        """Record one served batch; returns the path each prediction took.
 
-        ``sample`` duck-types :class:`PredictionSample` (``user_id``,
-        ``history``, ``prefix``, ``target``, ``history_key``);
-        ``result`` needs only ``ranked_pois``.  Labelled samples join
-        immediately (``"joined"``); unlabelled ones enter the pending
-        ring (``"pending"``).  Anonymous traffic (negative user id)
-        cannot ever be joined and is skipped (``None``).
+        ``samples`` duck-type :class:`PredictionSample` (``user_id``,
+        ``history``, ``prefix``, ``target``); ``results`` need only
+        ``ranked_pois``, a list.  Labelled samples join immediately
+        (``"joined"``); unlabelled ones enter the pending ring
+        (``"pending"``).  Anonymous traffic (negative user id) cannot
+        ever be joined and is skipped (``None``).
         """
-        user_id = getattr(sample, "user_id", -1)
-        if user_id is None or user_id < 0:
-            return None
-        stratum = cold_start_stratum(len(getattr(sample, "history", ()) or ()))
-        top = result.ranked_pois[: self.top_k]
-        # ndarray.tolist() is one C call; the element-wise int() loop it
-        # replaces dominated the per-prediction cost on the serving path
-        top_pois = top.tolist() if hasattr(top, "tolist") else [int(p) for p in top]
-        self._predictions[stratum].inc()
-        target = getattr(sample, "target", None)
-        if target is not None:
-            self._join(stratum, top_pois, int(target.poi_id))
-            return "joined"
-        history_key = getattr(sample, "history_key", None)
-        history_version = (
-            history_key[2]
-            if isinstance(history_key, tuple) and len(history_key) >= 3
-            else None
-        )
-        prefix = getattr(sample, "prefix", ()) or ()
-        context_timestamp = (
-            float(prefix[-1].timestamp) if len(prefix) else None
-        )
+        paths: List[Optional[str]] = []
+        predicted = dict.fromkeys(STRATA, 0)
+        ranks: Dict[str, List[int]] = {s: [] for s in STRATA}
+        unlabelled: List[Tuple[int, str, List[int], Optional[float]]] = []
+        top_k = self.top_k
+        for sample, result in zip(samples, results):
+            user_id = sample.user_id
+            if user_id is None or user_id < 0:
+                paths.append(None)
+                continue
+            stratum = cold_start_stratum(len(sample.history))
+            predicted[stratum] += 1
+            target = sample.target
+            if target is not None:
+                ranks[stratum].append(_rank(result.ranked_pois, target.poi_id, top_k))
+                paths.append("joined")
+                continue
+            prefix = sample.prefix
+            context = float(prefix[-1].timestamp) if prefix else None
+            # the slice is a copy: the ring never aliases a caller's list
+            unlabelled.append((user_id, stratum, result.ranked_pois[:top_k], context))
+            paths.append("pending")
+        for stratum, count in predicted.items():
+            if count:
+                self._predictions[stratum].inc(count)
+        if unlabelled:
+            self._enqueue(unlabelled)
+        self._account(ranks)
+        return paths
+
+    def _enqueue(self, unlabelled) -> None:
         replaced = evicted = 0
         with self._lock:
-            # prefix-less predictions (user unknown to the store) carry
-            # no event-time context; age them from the stream watermark
-            # at serve time so the gap sweep still applies post-startup
-            last_timestamp = (
-                context_timestamp
-                if context_timestamp is not None
-                else self._event_watermark
-            )
-            entry = _Pending(
-                user_id, top_pois, stratum, history_version, last_timestamp
-            )
-            if user_id in self._pending:
-                del self._pending[user_id]  # latest wins, re-enter at the tail
-                replaced = 1
-            self._pending[user_id] = entry
-            while len(self._pending) > self.max_pending:
-                self._pending.popitem(last=False)
-                evicted += 1
+            for user_id, stratum, top_pois, context in unlabelled:
+                # prefix-less predictions (user unknown to the store)
+                # carry no event-time context; age them from the stream
+                # watermark so the gap sweep still applies post-startup
+                entry = _Pending(
+                    stratum, top_pois, self._event_watermark if context is None else context
+                )
+                if self._pending.pop(user_id, None) is not None:
+                    replaced += 1  # latest wins, re-enter at the tail
+                self._pending[user_id] = entry
+                while len(self._pending) > self.max_pending:
+                    self._pending.popitem(last=False)
+                    evicted += 1
         if replaced:
             self._replaced.inc(replaced)
         if evicted:
             self._evicted.inc(evicted)
-        return "pending"
 
     # ------------------------------------------------------------------
     # ingest side
@@ -329,7 +370,7 @@ class QualityMonitor:
         ``"expired"``, or ``None`` (nothing pending for this user).
         """
         timestamp = float(getattr(event, "timestamp", float("-inf")))
-        swept: List[_Pending] = []
+        swept = 0
         with self._lock:
             if timestamp > self._event_watermark:
                 self._event_watermark = timestamp
@@ -338,7 +379,7 @@ class QualityMonitor:
             # against context older than the gap can never join
             horizon = self._event_watermark - self.gap_hours
             while self._pending:
-                _, oldest = next(iter(self._pending.items()))
+                oldest = next(iter(self._pending.values()))
                 # entries served before any stream event carry no
                 # event-time context at all (-inf); only the ring bound
                 # can reclaim them — never the gap sweep
@@ -348,36 +389,34 @@ class QualityMonitor:
                 ):
                     break
                 self._pending.popitem(last=False)
-                swept.append(oldest)
-        if swept:
-            self._expired.inc(len(swept))
+                swept += 1
+        rolled = entry is not None and getattr(append_result, "session_rolled", False)
+        if swept or rolled:
+            self._expired.inc(swept + rolled)
         if entry is None:
             return None
-        if append_result is not None and getattr(append_result, "session_rolled", False):
-            self._expired.inc()
+        if rolled:
             return "expired"
-        self._join(entry.stratum, entry.top_pois, int(event.poi_id))
+        self._account({entry.stratum: [_rank(entry.top_pois, event.poi_id, self.top_k)]})
         return "joined"
 
-    def _join(self, stratum: str, top_pois: Sequence[int], label_poi: int) -> None:
-        try:
-            rank = top_pois.index(label_poi) + 1
-        except ValueError:
-            rank = None
-        self._joins_total[stratum].inc()
-        # every windowed instrument shares the monitor's window shape,
-        # so one clock read serves the whole fan-out (up to 8 cells)
-        joins = self._w_joins[stratum]
-        slot = joins._now_slot()
-        joins.inc_at(slot)
-        if rank is None:
-            return
-        self._w_mrr[stratum].inc_at(slot, 1.0 / rank)
-        gain = 1.0 / math.log2(rank + 1)
-        for k in self.ks:
-            if rank <= k:
-                self._w_hits[(stratum, k)].inc_at(slot)
-                self._w_ndcg[(stratum, k)].inc_at(slot, gain)
+    def _account(self, ranks: Dict[str, List[int]]) -> None:
+        """Fold joins into the windows: one increment per (stratum, series)."""
+        slot = None
+        for stratum, stratum_ranks in ranks.items():
+            if not stratum_ranks:
+                continue
+            if slot is None:
+                # every windowed instrument shares one window shape, so
+                # one clock read places the whole batch
+                slot = self._window[STRATA[0]][0]._now_slot()
+            self._joins_total[stratum].inc(len(stratum_ranks))
+            rows = list(map(self._rank_rows.__getitem__, stratum_ranks))
+            # column sums of the joins' rank rows, in join order
+            row = rows[0] if len(rows) == 1 else map(sum, zip(*rows))
+            for instrument, amount in zip(self._window[stratum], row):
+                if amount:
+                    instrument.inc_at(slot, amount)
 
     # ------------------------------------------------------------------
     # reading
@@ -389,41 +428,14 @@ class QualityMonitor:
         """JSON-safe report: totals, per-stratum windows, and ratios.
 
         Each stratum carries its **raw windowed sums** alongside the
-        ratios so per-shard summaries merge by addition (the cluster
-        router recomputes ratios from summed sums — a mean of ratios
-        would weight an idle shard equal to a busy one).
+        ratios, so per-shard summaries merge by addition
+        (:func:`merge_reports`).
         """
-        strata: Dict[str, Dict] = {}
-        for s in STRATA + ("all",):
-            group = STRATA if s == "all" else (s,)
-            joins = sum(self._w_joins[x].value for x in group)
-            mrr_sum = sum(self._w_mrr[x].value for x in group)
-            hits = {
-                str(k): sum(self._w_hits[(x, k)].value for x in group)
-                for k in self.ks
-            }
-            ndcg_sum = {
-                str(k): sum(self._w_ndcg[(x, k)].value for x in group)
-                for k in self.ks
-            }
-            strata[s] = {
-                "window": {
-                    "joins": joins,
-                    "hits": hits,
-                    "mrr_sum": mrr_sum,
-                    "ndcg_sum": ndcg_sum,
-                },
-                "recall": {k: (v / joins if joins else 0.0) for k, v in hits.items()},
-                "mrr": mrr_sum / joins if joins else 0.0,
-                "ndcg": {
-                    k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()
-                },
-            }
         return {
             "enabled": True,
             "window_seconds": self.window_seconds,
             "top_k": self.top_k,
-            "ks": list(self.ks),
+            "ks": list(KS),
             "pending": len(self._pending),
             "max_pending": self.max_pending,
             "predictions": {s: int(c.value) for s, c in self._predictions.items()},
@@ -431,5 +443,7 @@ class QualityMonitor:
             "expired": int(self._expired.value),
             "replaced": int(self._replaced.value),
             "evicted": int(self._evicted.value),
-            "strata": strata,
+            "strata": _strata_report(
+                {s: [w.value for w in self._window[s]] for s in STRATA}
+            ),
         }

@@ -47,11 +47,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .plans import PlanCache, supports_plans
-from .predictor import (
-    Predictor,
-    ServeStats,
-    interpolated_percentile,
-)
+from .predictor import Predictor, ServeStats
 from .protocol import (
     PredictorBase,
     PredictorProtocol,
@@ -88,7 +84,6 @@ __all__ = [
     "ServingBackend",
     "ServeStats",
     "ServerConfig",
-    "interpolated_percentile",
     "build_dataset_from_meta",
     "build_model_from_meta",
     "load_checkpoint",

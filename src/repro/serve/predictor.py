@@ -34,28 +34,6 @@ from .protocol import PredictorResult, serve_history_key
 LATENCY_PERCENTILES = (50, 95, 99)
 
 
-def interpolated_percentile(sorted_values: Sequence[float], p: float) -> float:
-    """Linearly interpolated percentile of an ascending-sorted sequence.
-
-    The standard linear method (numpy's default): the percentile falls
-    at fractional rank ``(n - 1) * p / 100`` and is interpolated between
-    the two bracketing order statistics.  Nearest-rank would quantise
-    p99 onto whichever single sample happens to sit at the top of a
-    small window; interpolation degrades smoothly instead.
-    """
-    n = len(sorted_values)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(sorted_values[0])
-    rank = (n - 1) * p / 100.0
-    lo = int(rank)
-    if lo >= n - 1:
-        return float(sorted_values[-1])
-    frac = rank - lo
-    return float(sorted_values[lo] + (sorted_values[lo + 1] - sorted_values[lo]) * frac)
-
-
 class ServeStats:
     """Rolling counters for one predictor instance, registry-backed.
 
@@ -329,8 +307,7 @@ class Predictor:
             # record *before* the results leave the facade: by the time
             # a caller (or the HTTP layer above it) sees the ranked
             # list, the prediction is already pending its label
-            for sample, result in zip(samples, results):
-                self.quality.record(sample, result)
+            self.quality.record_batch(samples, results)
         return results
 
     def target_rank(self, sample: PredictionSample) -> int:

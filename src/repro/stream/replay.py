@@ -120,7 +120,6 @@ def prequential_replay(
     batch_size: int = REPLAY_BATCH_SIZE,
     ks: Iterable[int] = DEFAULT_KS,
     keep_results: bool = False,
-    quality=None,
     drift=None,
 ) -> ReplayReport:
     """Replay ``events`` through ingest-then-predict, prequentially.
@@ -134,14 +133,15 @@ def prequential_replay(
     one a live :class:`~repro.serve.InferenceServer` owns — with
     whatever registrations it already carries.
 
-    ``quality`` (a :class:`~repro.obs.QualityMonitor`) sees every
-    prediction through its labelled-sample path — replay samples carry
-    their prequential target, so each records and joins in one step —
-    and ``drift`` (a :class:`~repro.obs.DriftDetector`) observes every
-    event this replay ingests — it is detached again on return, so a
-    caller-supplied ``ingest`` outlives the replay without it.  Both
-    default off; the quality-overhead bench leg and the drift scenario
-    turn them on.
+    Predictions go through ``predictor.predict_batch``, so a
+    :class:`~repro.obs.QualityMonitor` attached as
+    ``predictor.quality`` records each one exactly once, through its
+    labelled-sample path: replay samples carry their prequential
+    target, so each records and joins in one step.  ``drift`` (a
+    :class:`~repro.obs.DriftDetector`) is fed every replayed event, in
+    order, in one ``update_many`` once the tape is ingested; it is never
+    attached to ``ingest``, so a caller-supplied ``ingest`` outlives the
+    replay without it.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -158,8 +158,6 @@ def prequential_replay(
         if not pending:
             return
         for sample, result in zip(pending, predictor.predict_batch(pending)):
-            if quality is not None:
-                quality.record(sample, result)
             records.append(
                 ReplayRecord(
                     user_id=sample.user_id,
@@ -173,27 +171,23 @@ def prequential_replay(
         pending.clear()
 
     store = ingest.store
+    start = time.perf_counter()
+    for event in events:
+        snapshot = store.get_snapshot(event.user_id)
+        if snapshot is not None and snapshot.continues_session(event):
+            # the test step: a sample built from the pre-ingest
+            # snapshot is immune to everything ingested after it, so
+            # flushing later in a batch cannot leak the label
+            pending.append(
+                snapshot.sample(target=Visit(poi_id=event.poi_id, timestamp=event.timestamp))
+            )
+        ingest.ingest(event)
+        if len(pending) >= batch_size:
+            flush()
+    flush()
     if drift is not None:
-        ingest.add_observer(drift.update)
-    try:
-        start = time.perf_counter()
-        for event in events:
-            snapshot = store.get_snapshot(event.user_id)
-            if snapshot is not None and snapshot.continues_session(event):
-                # the test step: a sample built from the pre-ingest
-                # snapshot is immune to everything ingested after it, so
-                # flushing later in a batch cannot leak the label
-                pending.append(
-                    snapshot.sample(target=Visit(poi_id=event.poi_id, timestamp=event.timestamp))
-                )
-            ingest.ingest(event)
-            if len(pending) >= batch_size:
-                flush()
-        flush()
-        seconds = time.perf_counter() - start
-    finally:
-        if drift is not None:
-            ingest.remove_observer(drift.update)
+        drift.update_many(events)
+    seconds = time.perf_counter() - start
 
     return ReplayReport(
         leg="stream",

@@ -4,12 +4,14 @@
 The scripts themselves train a quick-profile model and run outside the
 test gate; these checks keep their measuring code honest against the
 library it drives: every leg reports, the model's mode survives, the
-replay legs agree, and the paired-rounds helper pairs and medians.
+replay legs agree, the paired-rounds helper pairs and medians, and
+``bench_serve_async.py``'s latency percentile interpolates.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.baselines import MarkovChain
@@ -21,6 +23,7 @@ from repro.utils import spawn
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
+from bench_serve_async import interpolated_percentile  # noqa: E402
 from bench_serve_throughput import serve_legs  # noqa: E402
 from bench_stream_replay import replay_legs  # noqa: E402
 from paired import paired_rounds  # noqa: E402
@@ -138,3 +141,28 @@ def test_replay_legs_agree_and_report(tiny, model):
     assert incremental["metrics"] == baseline["metrics"]
     assert comparison["incremental_speedup"] > 0
     assert set(comparison["_reports"]) == {"baseline", "incremental"}
+
+
+class TestInterpolatedPercentile:
+    def test_midpoint(self):
+        assert interpolated_percentile([10.0, 20.0], 50) == 15.0
+
+    def test_endpoints_and_degenerate(self):
+        assert interpolated_percentile([], 99) == 0.0
+        assert interpolated_percentile([7.0], 99) == 7.0
+        assert interpolated_percentile([1.0, 2.0, 3.0], 0) == 1.0
+        assert interpolated_percentile([1.0, 2.0, 3.0], 100) == 3.0
+
+    def test_small_sample_p99_not_quantised(self):
+        # nearest-rank would return 20.0 for both; interpolation must not
+        values = [10.0, 20.0]
+        assert 10.0 < interpolated_percentile(values, 95) < 20.0
+        assert interpolated_percentile(values, 95) != interpolated_percentile(values, 99)
+
+    def test_matches_numpy_linear_method(self):
+        rng = np.random.default_rng(3)
+        values = sorted(rng.uniform(0, 100, size=37).tolist())
+        for p in (50, 90, 95, 99):
+            assert interpolated_percentile(values, p) == pytest.approx(
+                float(np.percentile(values, p)), abs=1e-12
+            )

@@ -5,7 +5,10 @@ HTTP identity between scraped quality metrics and offline accounting."""
 import json
 import math
 import os
+import random
 import signal
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -15,17 +18,25 @@ import pytest
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
 from repro.obs import (
+    KS,
+    STRATA,
     DriftDetector,
     MetricsRegistry,
     QualityMonitor,
     WindowedCounter,
     cold_start_stratum,
-    merge_windowed_snapshots,
+    merge_reports,
     parse_prometheus,
     render_prometheus,
 )
 from repro.cluster import ClusterConfig, ClusterHttpFrontend, ClusterRouter
-from repro.serve import HttpFrontend, InferenceServer, ServerConfig, save_checkpoint
+from repro.serve import (
+    HttpFrontend,
+    InferenceServer,
+    Predictor,
+    ServerConfig,
+    save_checkpoint,
+)
 from repro.stream import (
     CheckinEvent,
     StoreConfig,
@@ -33,6 +44,7 @@ from repro.stream import (
     UserStateStore,
     events_from_checkins,
     popularity_shift_events,
+    prequential_replay,
 )
 from repro.utils import spawn
 
@@ -127,26 +139,7 @@ class TestWindowedCounter:
         b = WindowedCounter("b", window_seconds=60.0, slots=6, clock=clock)
         a.inc(1.5)
         b.inc_at(b._now_slot(), 1.5)
-        assert a.snapshot()["cells"] == b.snapshot()["cells"]
-
-    def test_merge_aligns_by_absolute_slot(self):
-        clock = FakeClock(0.0)
-        kwargs = dict(window_seconds=60.0, slots=6, clock=clock)
-        a = WindowedCounter("w", **kwargs)
-        b = WindowedCounter("w", **kwargs)
-        a.inc(1.0)
-        clock.now = 30.0
-        b.inc(10.0)
-        merged = merge_windowed_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["value"] == 11.0
-        # cells stay keyed by absolute slot index, not per-process age
-        assert set(merged["cells"]) == {"0", "3"}
-
-    def test_merge_rejects_mismatched_windows(self):
-        a = WindowedCounter("w", window_seconds=60.0, slots=6)
-        b = WindowedCounter("w", window_seconds=30.0, slots=6)
-        with pytest.raises(ValueError):
-            merge_windowed_snapshots([a.snapshot(), b.snapshot()])
+        assert a._cells == b._cells
 
     def test_registry_get_or_create(self):
         registry = MetricsRegistry()
@@ -170,9 +163,9 @@ class TestQualityMonitor:
         q = QualityMonitor(MetricsRegistry(), top_k=20)
         ranked = Result(range(100, 140))
         # rank 1 hit, rank 7 hit, and a miss
-        assert q.record(Sample(1, target=Visit(100, 0.0)), ranked) == "joined"
-        assert q.record(Sample(2, target=Visit(106, 0.0)), ranked) == "joined"
-        assert q.record(Sample(3, target=Visit(999, 0.0)), ranked) == "joined"
+        assert q.record_batch([Sample(1, target=Visit(100, 0.0))], [ranked]) == ["joined"]
+        assert q.record_batch([Sample(2, target=Visit(106, 0.0))], [ranked]) == ["joined"]
+        assert q.record_batch([Sample(3, target=Visit(999, 0.0))], [ranked]) == ["joined"]
         s = q.summary()["strata"]["0"]
         assert s["window"]["joins"] == 3
         assert s["window"]["hits"] == {"5": 1, "10": 2, "20": 2}
@@ -185,7 +178,7 @@ class TestQualityMonitor:
 
     def test_unlabelled_prediction_joins_on_next_checkin_exactly_once(self):
         q = QualityMonitor(MetricsRegistry(), top_k=10)
-        assert q.record(Sample(7), Result([4, 5, 6])) == "pending"
+        assert q.record_batch([Sample(7)], [Result([4, 5, 6])]) == ["pending"]
         assert q.pending_count() == 1
         assert q.observe_checkin(ev(7, 5, 1.0)) == "joined"  # rank 2
         # exactly once: the second check-in finds nothing pending
@@ -196,22 +189,22 @@ class TestQualityMonitor:
 
     def test_stratum_follows_history_length(self):
         q = QualityMonitor(MetricsRegistry())
-        q.record(Sample(1, history=((),), target=Visit(0, 0.0)), Result([0]))
-        q.record(Sample(2, history=((), ()), target=Visit(0, 0.0)), Result([0]))
+        q.record_batch([Sample(1, history=((),), target=Visit(0, 0.0))], [Result([0])])
+        q.record_batch([Sample(2, history=((), ()), target=Visit(0, 0.0))], [Result([0])])
         joins = q.summary()["joins"]
         assert joins == {"0": 0, "1": 1, "2+": 1}
 
     def test_anonymous_traffic_skipped(self):
         q = QualityMonitor(MetricsRegistry())
-        assert q.record(Sample(-1), Result([1])) is None
+        assert q.record_batch([Sample(-1)], [Result([1])]) == [None]
         assert q.pending_count() == 0
 
     def test_two_pending_predictions_latest_wins(self):
         """Satellite: a re-served user replaces the stale pending entry;
         the join grades the *latest* answer and counts exactly once."""
         q = QualityMonitor(MetricsRegistry(), top_k=10)
-        q.record(Sample(7), Result([1, 2, 3]))       # stale: label would rank 1
-        q.record(Sample(7), Result([9, 8, 1]))       # latest: label ranks 3
+        q.record_batch([Sample(7)], [Result([1, 2, 3])])  # stale: label would rank 1
+        q.record_batch([Sample(7)], [Result([9, 8, 1])])  # latest: label ranks 3
         assert q.pending_count() == 1
         assert q.summary()["replaced"] == 1
         assert q.observe_checkin(ev(7, 1, 1.0)) == "joined"
@@ -228,7 +221,7 @@ class TestQualityMonitor:
             session_rolled = True
 
         q = QualityMonitor(MetricsRegistry())
-        q.record(Sample(3), Result([1, 2]))
+        q.record_batch([Sample(3)], [Result([1, 2])])
         assert q.observe_checkin(ev(3, 1, 100.0), Rolled()) == "expired"
         s = q.summary()
         assert s["expired"] == 1
@@ -237,8 +230,8 @@ class TestQualityMonitor:
 
     def test_gap_rule_sweeps_stale_pending_entries(self):
         q = QualityMonitor(MetricsRegistry(), gap_hours=72.0)
-        q.record(Sample(1, prefix=(Visit(0, 10.0),)), Result([1]))
-        q.record(Sample(2, prefix=(Visit(0, 100.0),)), Result([1]))
+        q.record_batch([Sample(1, prefix=(Visit(0, 10.0),))], [Result([1])])
+        q.record_batch([Sample(2, prefix=(Visit(0, 100.0),))], [Result([1])])
         # another user's event advances the watermark past user 1's gap
         assert q.observe_checkin(ev(9, 0, 10.0 + 73.0)) is None
         assert q.pending_count() == 1  # user 1 swept, user 2 survives
@@ -247,20 +240,20 @@ class TestQualityMonitor:
     def test_ring_bound_evicts_fifo(self):
         q = QualityMonitor(MetricsRegistry(), max_pending=2)
         for user in (1, 2, 3):
-            q.record(Sample(user), Result([1]))
+            q.record_batch([Sample(user)], [Result([1])])
         assert q.pending_count() == 2
         assert q.summary()["evicted"] == 1
         assert q.observe_checkin(ev(1, 1, 0.0)) is None  # oldest was dropped
         assert q.observe_checkin(ev(3, 1, 0.0)) == "joined"
 
     def test_top_k_widened_to_largest_cutoff(self):
-        q = QualityMonitor(MetricsRegistry(), top_k=5, ks=(5, 10))
-        assert q.top_k == 10
+        q = QualityMonitor(MetricsRegistry(), top_k=5)
+        assert q.top_k == KS[-1]
 
     def test_metrics_ride_prometheus_exposition(self):
         registry = MetricsRegistry()
         q = QualityMonitor(registry, top_k=10)
-        q.record(Sample(1, target=Visit(4, 0.0)), Result([4, 5, 6]))
+        q.record_batch([Sample(1, target=Visit(4, 0.0))], [Result([4, 5, 6])])
         parsed = parse_prometheus(render_prometheus(registry.snapshot()))
         assert parsed[("repro_quality_joins_total", (("stratum", "0"),))] == 1.0
         assert parsed[
@@ -270,6 +263,160 @@ class TestQualityMonitor:
             ("repro_quality_recall", (("k", "5"), ("stratum", "all")))
         ] == 1.0
         assert parsed[("repro_quality_pending", ())] == 0.0
+
+
+# ----------------------------------------------------------------------
+# batch accounting: one record site, one strata report
+# ----------------------------------------------------------------------
+def _offline_rows(samples, results, top_k):
+    """Per-sample join accounting, the way the module docstring states it."""
+    rows = {s: {"joins": 0, "mrr": 0.0, "hits": dict.fromkeys(KS, 0),
+                "ndcg": dict.fromkeys(KS, 0.0)} for s in STRATA}
+    for sample, result in zip(samples, results):
+        row = rows[cold_start_stratum(len(sample.history))]
+        row["joins"] += 1
+        top = list(result.ranked_pois[:top_k])
+        if sample.target.poi_id not in top:
+            continue
+        rank = top.index(sample.target.poi_id) + 1
+        row["mrr"] += 1.0 / rank
+        for k in KS:
+            if rank <= k:
+                row["hits"][k] += 1
+                row["ndcg"][k] += 1.0 / math.log2(rank + 1)
+    return rows
+
+
+def _labelled_batch(size, seed):
+    """``size`` labelled samples spread over all three strata, with hits
+    at every depth and misses."""
+    rng = random.Random(seed)
+    samples, results = [], []
+    for index in range(size):
+        ranked = rng.sample(range(100), 30)
+        label = ranked[rng.randrange(25)] if index % 4 else 999
+        samples.append(Sample(index, history=((),) * (index % 3),
+                              target=Visit(label, 0.0)))
+        results.append(Result(ranked))
+    return samples, results
+
+
+class TestRecordBatch:
+    def test_fan_out_is_bounded_and_counts_match_offline(self, monkeypatch):
+        calls = []
+        original = WindowedCounter.inc_at
+
+        def counting(self, slot, amount=1.0):
+            calls.append(self.name)
+            original(self, slot, amount)
+
+        monkeypatch.setattr(WindowedCounter, "inc_at", counting)
+        for size in (64, 256):
+            calls.clear()
+            q = QualityMonitor(MetricsRegistry())
+            samples, results = _labelled_batch(size, seed=size)
+            assert q.record_batch(samples, results) == ["joined"] * size
+            # one increment per (stratum, series): 3 strata x 8 series
+            assert 0 < len(calls) <= 24
+            summary = q.summary()
+            expected = _offline_rows(samples, results, q.top_k)
+            for stratum, row in expected.items():
+                window = summary["strata"][stratum]["window"]
+                assert summary["predictions"][stratum] == row["joins"]
+                assert summary["joins"][stratum] == row["joins"]
+                assert window["joins"] == row["joins"]
+                assert window["hits"] == {str(k): row["hits"][k] for k in KS}
+                assert window["mrr_sum"] == pytest.approx(row["mrr"], rel=1e-12, abs=1e-12)
+                for k in KS:
+                    assert window["ndcg_sum"][str(k)] == pytest.approx(
+                        row["ndcg"][k], rel=1e-12, abs=1e-12
+                    )
+
+    def test_mixed_batch_paths_in_serve_order(self):
+        q = QualityMonitor(MetricsRegistry())
+        samples = [Sample(-1), Sample(4), Sample(5, target=Visit(2, 0.0)), Sample(4)]
+        results = [Result([1]), Result([1]), Result([1, 2]), Result([3])]
+        assert q.record_batch(samples, results) == [None, "pending", "joined", "pending"]
+        summary = q.summary()
+        assert summary["predictions"]["0"] == 3
+        assert summary["replaced"] == 1 and q.pending_count() == 1
+        assert summary["strata"]["0"]["window"]["mrr_sum"] == pytest.approx(0.5)
+        assert q.observe_checkin(ev(4, 3, 1.0)) == "joined"  # the latest list
+
+    def test_concurrent_batches_lose_no_update(self):
+        """Worker threads record at once: every count and sum survives."""
+        q = QualityMonitor(MetricsRegistry(), max_pending=10_000)
+        batches = [_labelled_batch(16, seed=s) for s in range(48)]
+        unlabelled = [([Sample(10_000 + s)], [Result([1, 2])]) for s in range(48)]
+        work = [b for pair in zip(batches, unlabelled) for b in pair]
+
+        def worker(offset):
+            for samples, results in work[offset::6]:
+                q.record_batch(samples, results)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = _offline_rows(
+            [s for b in batches for s in b[0]], [r for b in batches for r in b[1]], q.top_k
+        )
+        summary = q.summary()
+        assert q.pending_count() == len(unlabelled)
+        assert sum(summary["predictions"].values()) == 48 * 16 + len(unlabelled)
+        for stratum, row in expected.items():
+            window = summary["strata"][stratum]["window"]
+            assert summary["joins"][stratum] == window["joins"] == row["joins"]
+            assert window["hits"] == {str(k): row["hits"][k] for k in KS}
+            assert window["mrr_sum"] == pytest.approx(row["mrr"], rel=1e-12)
+
+    def test_replay_records_each_prediction_once(self, tiny_dataset, model):
+        """The replay predicts through ``predictor.predict_batch``, the one
+        record site: an attached monitor sees every prediction exactly once."""
+        predictor = Predictor(model, graph_cache_size=None, compile=False)
+        predictor.quality = QualityMonitor(MetricsRegistry())
+        events = events_from_checkins(tiny_dataset.checkins)[:200]
+        report = prequential_replay(predictor, events)
+        summary = predictor.quality.summary()
+        assert report.predictions > 0
+        assert sum(summary["predictions"].values()) == report.predictions
+        assert sum(summary["joins"].values()) == report.predictions
+        assert summary["strata"]["all"]["window"]["joins"] == report.predictions
+
+    def test_merge_reports_equals_one_monitor_over_both_slices(self):
+        samples, results = _labelled_batch(90, seed=7)
+        whole = QualityMonitor(MetricsRegistry())
+        whole.record_batch(samples, results)
+        shards = [QualityMonitor(MetricsRegistry()) for _ in range(2)]
+        shards[0].record_batch(samples[:40], results[:40])
+        shards[1].record_batch(samples[40:], results[40:])
+        shards[1].record_batch([Sample(500)], [Result([1])])  # one pending
+        reports = [q.summary() for q in shards]
+        reports[0]["store_strata"] = {"0": 2, "1": 1}
+        reports[1]["store_strata"] = {"0": 3}
+        reports[1]["drift"] = {"alert": True}
+        merged = merge_reports(reports)
+        expected = whole.summary()
+        assert merged["joins"] == expected["joins"]
+        assert merged["predictions"]["0"] == expected["predictions"]["0"] + 1
+        assert merged["pending"] == 1
+        assert merged["store_strata"] == {"0": 5, "1": 1}
+        assert merged["drift_alert"] is True
+        for stratum in STRATA + ("all",):
+            ours, theirs = merged["strata"][stratum], expected["strata"][stratum]
+            assert ours["window"]["joins"] == theirs["window"]["joins"]
+            assert ours["window"]["hits"] == theirs["window"]["hits"]
+            assert ours["mrr"] == pytest.approx(theirs["mrr"], rel=1e-12)
+            assert ours["recall"] == theirs["recall"]
+            for k in map(str, KS):
+                assert ours["ndcg"][k] == pytest.approx(theirs["ndcg"][k], rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +448,7 @@ class TestIngestObservers:
         ingest = StreamIngest(UserStateStore(StoreConfig(gap_hours=72.0)))
         ingest.add_observer(q.observe_checkin)
         ingest.ingest(ev(5, 1, 0.0))
-        q.record(Sample(5, prefix=(Visit(1, 0.0),)), Result([2, 3]))
+        q.record_batch([Sample(5, prefix=(Visit(1, 0.0),))], [Result([2, 3])])
         # next check-in is 73h later: the store rolls the session
         ingest.ingest(ev(5, 2, 73.0))
         s = q.summary()
@@ -323,7 +470,7 @@ class TestIngestObservers:
         quality = QualityMonitor(MetricsRegistry())
         ingest.add_observer(quality.observe_checkin)
         ingest.ingest(ev(5, 1, 0.0))
-        quality.record(Sample(5, prefix=(Visit(1, 0.0),)), Result([2, 3]))
+        quality.record_batch([Sample(5, prefix=(Visit(1, 0.0),))], [Result([2, 3])])
         assert quality.pending_count() == 1
         ingest.log.close()  # crash: the monitor dies with the process
 
@@ -385,6 +532,29 @@ class TestDriftDetector:
         assert d.summary()["frozen"]
         self._feed(d, [9] * 8, start_t=5.0)
         assert d.alert()
+
+    def test_update_many_equals_one_event_at_a_time(self):
+        """Batches crossing the reference freeze leave the same state."""
+        events = [ev(i % 7, (i * 5) % 23, i * 0.01) for i in range(90)]
+
+        def detector():
+            return DriftDetector(
+                MetricsRegistry(), window=16, reference=40, bins=6,
+                tile_of=lambda poi: poi // 4,
+            )
+
+        single, batched = detector(), detector()
+        for event in events:
+            single.update(event)
+        for lo in range(0, len(events), 13):
+            batched.update_many(events[lo:lo + 13])
+        batched.update_many([])
+        assert batched.summary() == single.summary()
+        for dist in ("poi", "tile"):
+            ours, theirs = batched._sketches[dist], single._sketches[dist]
+            assert ours.ref_counts == theirs.ref_counts
+            assert ours.cur_counts == theirs.cur_counts
+            assert list(ours.recent) == list(theirs.recent)
 
     def test_events_counter_includes_reference_phase(self):
         registry = MetricsRegistry()
@@ -620,8 +790,15 @@ class TestClusterQuality:
         assert [s["status"] for s in report["shards"]] == ["ok", "ok"]
         merged = report["cluster"]
         shard_reports = [s["quality"] for s in report["shards"]]
-        # the cluster section is the shard sum, ratios recomputed
+        # the cluster section is the shard sum, ratios recomputed, built
+        # by the same strata report a single server's summary uses
+        assert merged == merge_reports(shard_reports)
+        assert set(merged["strata"]) == set(STRATA) | {"all"}
         assert sum(merged["predictions"].values()) == expected_predictions
+        assert merged["store_strata"] == {
+            s: sum(r["store_strata"].get(s, 0) for r in shard_reports)
+            for s in merged["store_strata"]
+        }
         total_joins = sum(
             sum(r["joins"].values()) for r in shard_reports
         )

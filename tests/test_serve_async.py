@@ -28,7 +28,6 @@ from repro.serve import (
     SchedulerClosedError,
     ServeStats,
     ServerConfig,
-    interpolated_percentile,
     read_checkpoint,
     result_to_json,
     sample_from_json,
@@ -143,31 +142,6 @@ class TestGradModeThreadLocal:
         for t in threads:
             t.join()
         assert not failures
-
-
-class TestInterpolatedPercentile:
-    def test_midpoint(self):
-        assert interpolated_percentile([10.0, 20.0], 50) == 15.0
-
-    def test_endpoints_and_degenerate(self):
-        assert interpolated_percentile([], 99) == 0.0
-        assert interpolated_percentile([7.0], 99) == 7.0
-        assert interpolated_percentile([1.0, 2.0, 3.0], 0) == 1.0
-        assert interpolated_percentile([1.0, 2.0, 3.0], 100) == 3.0
-
-    def test_small_sample_p99_not_quantised(self):
-        # nearest-rank would return 20.0 for both; interpolation must not
-        values = [10.0, 20.0]
-        assert 10.0 < interpolated_percentile(values, 95) < 20.0
-        assert interpolated_percentile(values, 95) != interpolated_percentile(values, 99)
-
-    def test_matches_numpy_linear_method(self):
-        rng = np.random.default_rng(3)
-        values = sorted(rng.uniform(0, 100, size=37).tolist())
-        for p in (50, 90, 95, 99):
-            assert interpolated_percentile(values, p) == pytest.approx(
-                float(np.percentile(values, p)), abs=1e-12
-            )
 
 
 class TestServeStatsThreadSafe:
